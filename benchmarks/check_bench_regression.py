@@ -21,10 +21,10 @@ Works for both artifacts: ``BENCH_engine.json`` (replay loops) and
 *both* sides are simply skipped, so each job passes its own pair.
 
 On top of the per-metric baselines, one *ratio* rule is enforced
-within the current artifact alone: the vector window replay must
-clear ``VECTOR_KERNEL_RATIO`` times the fused kernel loop (the PR-6
-acceptance bar).  Ratios of same-host numbers are immune to runner
-speed, so this gate is hard.
+within the current artifact alone: the 2P2L kernel replay must clear
+``KERNEL_2P2L_PACKED_RATIO`` times the packed loop on the same trace
+(the PR-7 acceptance bar).  Ratios of same-host numbers are immune to
+runner speed, so this gate is hard.
 
 Exit status: 0 = OK (possibly with warnings), 1 = regression or
 missing metric, 2 = usage / unreadable artifact.
@@ -42,8 +42,6 @@ THROUGHPUT_KEYS = (
     "packed_loop_requests_per_sec",
     "kernel_loop_requests_per_sec",
     "kernel_2p2l_requests_per_sec",
-    "vector_loop_requests_per_sec",
-    "vector_miss_loop_requests_per_sec",
     "tier_replay_requests_per_sec",
     "service_chaos_requests_per_sec",
 )
@@ -59,18 +57,9 @@ LATENCY_KEYS = (
 )
 LATENCY_FAIL_FACTOR = 4.0
 
-#: The vector replay must clear this multiple of the fused kernel
-#: loop within one artifact (same host, same session).
-VECTOR_KERNEL_RATIO = 2.0
-
 #: The 2P2L kernel replay must clear this multiple of the packed loop
 #: on the same trace within one artifact (the PR-7 acceptance bar).
 KERNEL_2P2L_PACKED_RATIO = 1.8
-
-#: The vector replay must clear this multiple of the scalar kernel on
-#: the same miss-heavy trace within one artifact (the PR-9 bar: the
-#: vectorized miss path must hold 2x even when every access misses).
-VECTOR_MISS_KERNEL_RATIO = 2.0
 
 
 def _load(path):
@@ -136,19 +125,6 @@ def check(baseline, current):
         else:
             print(f"  ok     {key}: {curr:,.0f} ms "
                   f"(baseline {base:,.0f} ms)")
-    vec = current.get("vector_loop_requests_per_sec")
-    ker = current.get("kernel_loop_requests_per_sec")
-    if isinstance(vec, (int, float)) and isinstance(ker, (int, float)) \
-            and ker > 0:
-        ratio = vec / ker
-        if ratio < VECTOR_KERNEL_RATIO:
-            failures.append(
-                f"vector/kernel ratio: {vec:,.0f} req/s is only "
-                f"{ratio:.2f}x the kernel loop ({ker:,.0f} req/s); "
-                f"the acceptance bar is {VECTOR_KERNEL_RATIO:.1f}x")
-        else:
-            print(f"  ok     vector/kernel ratio: {ratio:.2f}x "
-                  f"(bar {VECTOR_KERNEL_RATIO:.1f}x)")
     k2 = current.get("kernel_2p2l_requests_per_sec")
     p2 = current.get("kernel_2p2l_packed_requests_per_sec")
     if isinstance(k2, (int, float)) and isinstance(p2, (int, float)) \
@@ -162,20 +138,6 @@ def check(baseline, current):
         else:
             print(f"  ok     2P2L kernel/packed ratio: {ratio:.2f}x "
                   f"(bar {KERNEL_2P2L_PACKED_RATIO:.1f}x)")
-    vm = current.get("vector_miss_loop_requests_per_sec")
-    km = current.get("vector_miss_loop_kernel_requests_per_sec")
-    if isinstance(vm, (int, float)) and isinstance(km, (int, float)) \
-            and km > 0:
-        ratio = vm / km
-        if ratio < VECTOR_MISS_KERNEL_RATIO:
-            failures.append(
-                f"miss-loop vector/kernel ratio: {vm:,.0f} req/s is "
-                f"only {ratio:.2f}x the scalar kernel ({km:,.0f} "
-                f"req/s); the acceptance bar is "
-                f"{VECTOR_MISS_KERNEL_RATIO:.1f}x")
-        else:
-            print(f"  ok     miss-loop vector/kernel ratio: "
-                  f"{ratio:.2f}x (bar {VECTOR_MISS_KERNEL_RATIO:.1f}x)")
     return failures
 
 

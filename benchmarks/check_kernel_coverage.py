@@ -11,13 +11,13 @@ classification ``run_all --dry-run`` prints) and diffs it against the
 committed baseline (default:
 ``benchmarks/kernel_coverage_baseline.json``).
 
-A configuration whose engine *downgrades* — vector to kernel/packed,
-or kernel to packed — fails the build: a refactor quietly pushed a hot
-figure config off the fast replay paths.  A baseline configuration
-missing from the current plan also fails (the plan changed; the
-baseline must be regenerated deliberately via
-``python -m repro.experiments.run_all --dry-run --quiet``).  Upgrades
-and brand-new configurations are reported informationally and pass.
+A configuration whose engine *downgrades* — kernel to packed — fails
+the build: a refactor quietly pushed a hot figure config off the fast
+replay path.  A baseline configuration missing from the current plan
+also fails (the plan changed; the baseline must be regenerated
+deliberately via ``python -m repro.experiments.run_all --dry-run
+--quiet``).  Upgrades and brand-new configurations are reported
+informationally and pass.
 
 Exit status: 0 = OK, 1 = coverage regression, 2 = usage / unreadable
 baseline.
@@ -27,7 +27,7 @@ import json
 import sys
 
 #: Replay engines, slowest first; a move to a lower rank is a failure.
-ENGINE_RANK = {"packed": 0, "kernel": 1, "vector": 2}
+ENGINE_RANK = {"packed": 0, "kernel": 1}
 
 DEFAULT_BASELINE = "benchmarks/kernel_coverage_baseline.json"
 

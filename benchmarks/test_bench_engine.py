@@ -3,17 +3,16 @@
 Measures (1) raw requests/second of the default engine path (whatever
 ``TraceDrivenCpu.run`` dispatches to), (2) the packed replay loop
 (``TraceDrivenCpu.run_packed``, pinned via ``kernels.kernel_disabled``),
-(3) the fused flat-store kernel (``TraceDrivenCpu.run_kernel``, pinned
-via ``vector.vector_disabled`` now that covered 2-D designs dispatch
-to the vector loop), gated at >= 2x the packed loop on the same host,
-(4) the vectorized window replay (``TraceDrivenCpu.run_vector``) on a
-hit-dense trace, gated at >= 2x the fused kernel, (5) the sharded
-(cold-cache-epoch) replay under a 2-worker pool versus serial, and
-(6) the end-to-end wall time of a two-figure sweep (Figs. 11 and 12
-restricted to two workloads) under ``--jobs 2`` versus ``--jobs 1``,
-cold and warm persistent cache.  Emits ``BENCH_engine.json`` next to
-the other benchmark artifacts; ``check_bench_regression.py`` compares
-a fresh artifact against the committed one in CI.
+(3) the fused flat-store kernel (``TraceDrivenCpu.run_kernel``, the
+default for every covered design), gated at >= 2x the packed loop on
+the same host, (4) the kernel replay with the die-stacked tier below
+the LLC, (5) the sharded (cold-cache-epoch) replay under a 2-worker
+pool versus serial, and (6) the end-to-end wall time of a two-figure
+sweep (Figs. 11 and 12 restricted to two workloads) under ``--jobs 2``
+versus ``--jobs 1``, cold and warm persistent cache.  Emits
+``BENCH_engine.json`` next to the other benchmark artifacts;
+``check_bench_regression.py`` compares a fresh artifact against the
+committed one in CI.
 
 The container may expose a single core, so the parallel sweep and
 sharded-replay timings only run (and assert) when more than one core
@@ -30,7 +29,7 @@ import time
 from repro.common.config import apply_overrides
 from repro.common.types import AccessWidth, Orientation, PackedTrace, \
     Request
-from repro.core import kernels, vector
+from repro.core import kernels
 from repro.core.simulator import clear_trace_cache, run_simulation, \
     run_trace
 from repro.core.system import make_system
@@ -44,46 +43,21 @@ WORKLOADS = ["sgemm", "sobel"]
 ARTIFACT = os.path.join(os.path.dirname(__file__), "..",
                         "BENCH_engine.json")
 
-#: Length of the synthetic hit-dense trace the vector bench replays.
-HOT_TRACE_LEN = 1 << 18
+#: Length of the synthetic miss-heavy trace the tier bench replays.
+MISS_TRACE_LEN = 1 << 18
 
-#: Distinct tiles the miss-heavy trace cycles through.  At 7x the LLC
-#: set count every access misses L1 and hits the LLC, so each
-#: classification chunk is one ~4096-row bulk miss window.
+#: Distinct tiles the miss-heavy trace cycles through (row 0 of each:
+#: a 1.75MB working set of 512-byte tiles).
 MISS_TILE_COUNT = 3584
 
 
-def _hot_trace(n=HOT_TRACE_LEN):
-    """Vector reads cycling one tile's 8 row lines: all hits after the
-    8-line warmup, so windows span whole classification chunks."""
-    return PackedTrace.from_requests(
-        [Request(addr=(i & 7) << 6, orientation=Orientation.ROW,
-                 width=AccessWidth.VECTOR, is_write=False, ref_id=0)
-         for i in range(n)])
-
-
-def _miss_trace(n=HOT_TRACE_LEN):
-    """Vector reads cycling MISS_TILE_COUNT distinct tiles' row 0: the
-    working set is 56x the L1 but fits the 256KB LLC below, so every
-    access is an L1 miss served by the second level."""
+def _miss_trace(n=MISS_TRACE_LEN):
+    """Vector reads cycling MISS_TILE_COUNT distinct tiles' row 0."""
     return PackedTrace.from_requests(
         [Request(addr=(i % MISS_TILE_COUNT) << 9,
                  orientation=Orientation.ROW,
                  width=AccessWidth.VECTOR, is_write=False, ref_id=0)
          for i in range(n)])
-
-
-def _miss_system():
-    """Two-level system whose LLC holds the miss trace's working set:
-    a stock 4KB L1 under a 256KB SRAM second level (512 sets x 8
-    ways), so the replay is a pure L1-miss / L2-hit stream."""
-    from repro.common.config import CpuConfig, MemoryConfig, \
-        SystemConfig
-    from repro.core.system import _l1, _llc_sram
-    return SystemConfig(
-        levels=[_l1(2),
-                _llc_sram(256 * 1024, 2, "different_set", name="L2")],
-        memory=MemoryConfig(), cpu=CpuConfig())
 
 
 def _sweep_keys():
@@ -154,12 +128,11 @@ def test_packed_loop_requests_per_second(benchmark):
 def test_kernel_loop_requests_per_second(benchmark):
     """The fused flat-store kernel clears 2x the packed replay loop.
 
-    Pinned to ``TraceDrivenCpu.run_kernel`` via ``vector_disabled`` —
-    without the pin, ``run_simulation`` on 1P2L would silently measure
-    the vector loop instead — and gated against the packed number the
-    previous test just recorded on the same host (the PR-4 acceptance
-    bar).  Results stay bit-identical: the run must reproduce the
-    pinned packed run's cycle count exactly.
+    ``run_simulation`` on 1P2L dispatches to
+    ``TraceDrivenCpu.run_kernel``; the rate is gated against the packed
+    number the previous test just recorded on the same host (the PR-4
+    acceptance bar).  Results stay bit-identical: the run must
+    reproduce the pinned packed run's cycle count exactly.
     """
     system = make_system("1P2L", 1.0)
     clear_trace_cache()
@@ -169,9 +142,7 @@ def test_kernel_loop_requests_per_second(benchmark):
     assert kernels.KERNEL_ENABLED
 
     def kernel_run():
-        with vector.vector_disabled():
-            return run_simulation(system, workload="sgemm",
-                                  size="small")
+        return run_simulation(system, workload="sgemm", size="small")
 
     result = benchmark.pedantic(kernel_run, rounds=9, iterations=1)
     assert result.cycles == reference.cycles
@@ -198,9 +169,8 @@ def test_kernel_2p2l_requests_per_second(benchmark):
     coherence and packed presence words — the family this PR moved off
     the packed interpreter.  Both loops replay the same sgemm trace on
     the same host: the packed loop pinned via ``kernel_disabled`` (best
-    of 3), the fused kernel via ``vector_disabled`` (so the now
-    vector-covered design measures the scalar kernel, rounds of 9).
-    Results must stay bit-identical between the two pins.
+    of 3), the fused kernel as dispatched (rounds of 9).  Results must
+    stay bit-identical between the two engines.
     """
     system = make_system("2P2L", 1.0)
     clear_trace_cache()
@@ -219,9 +189,7 @@ def test_kernel_2p2l_requests_per_second(benchmark):
     assert check.cycles == reference.cycles
 
     def kernel_run():
-        with vector.vector_disabled():
-            return run_simulation(system, workload="sgemm",
-                                  size="small")
+        return run_simulation(system, workload="sgemm", size="small")
 
     result = benchmark.pedantic(kernel_run, rounds=9, iterations=1)
     assert result.cycles == reference.cycles
@@ -241,114 +209,17 @@ def test_kernel_2p2l_requests_per_second(benchmark):
     assert rps >= 1.8 * packed_rps
 
 
-def test_vector_loop_requests_per_second(benchmark):
-    """The vector window replay clears 2x the fused kernel loop.
-
-    Measured on a hit-dense trace — the regime dependency windows
-    exist for: after an 8-line warmup every classification chunk is
-    one full bulk window, so the replay is numpy scatters end to end.
-    The scalar kernel replays the same trace (pinned) for an honest
-    same-trace ratio; the recorded PR-6 acceptance gate compares
-    against the sgemm-based ``kernel_loop_requests_per_sec`` above.
-    Results stay bit-identical to the pinned kernel run.
-    """
-    packed = _hot_trace()
-    system = make_system("1P2L", 1.0)
-
-    kernel_best = None
-    for _ in range(3):
-        started = time.perf_counter()
-        with vector.vector_disabled():
-            reference = run_trace(system, packed, name="hot")
-        elapsed = time.perf_counter() - started
-        kernel_best = elapsed if kernel_best is None \
-            else min(kernel_best, elapsed)
-
-    result = benchmark.pedantic(run_trace, args=(system, packed),
-                                kwargs={"name": "hot"},
-                                rounds=5, iterations=1)
-    assert result.cycles == reference.cycles
-    assert result.stats.flat() == reference.stats.flat()
-    seconds = benchmark.stats["min"]
-    rps = result.ops / seconds
-    same_trace = (result.ops / kernel_best) if kernel_best else 0.0
-    kernel_rps = _read_artifact().get("kernel_loop_requests_per_sec")
-    note = f" = {rps / kernel_rps:.2f}x kernel loop" if kernel_rps \
-        else ""
-    print(f"\nvector loop: {result.ops} requests in {seconds:.3f}s "
-          f"(best of 5) = {rps:,.0f} req/s{note} "
-          f"({rps / same_trace:.2f}x same-trace kernel)")
-    _merge_artifact({
-        "vector_loop_requests_per_sec": round(rps),
-        "vector_same_trace_kernel_requests_per_sec":
-            round(same_trace),
-    })
-    # PR-6 acceptance: >= 2x the fused kernel loop recorded on the
-    # same host.  The same-trace floor is softer (1.3x) — the shared
-    # single-core CI runner is noisy and the honest margin is ~2x.
-    if kernel_rps:
-        assert rps >= 2.0 * kernel_rps
-    assert rps >= 1.3 * same_trace
-    assert rps >= 1_000_000, "the 1M+ req/s headline must hold"
-
-
-def test_vector_miss_loop_requests_per_second(benchmark):
-    """The vector replay clears 2x the scalar kernel on a miss-heavy
-    trace — the regime this PR vectorized.
-
-    Every access in the trace is an L1 miss served by the 256KB second
-    level, so each classification chunk retires through the bulk-miss
-    path: set-grouped MSHR allocation against the flat table, one
-    latency scatter for the fills, and the uniform-window fast path
-    for the clock recurrence.  The scalar kernel replays the same
-    trace (pinned via ``vector_disabled``) for a same-host,
-    same-trace ratio; results must stay bit-identical between the two
-    pins.  ``check_bench_regression.py`` enforces the 2x ratio on the
-    recorded pair.
-    """
-    system = _miss_system()
-    packed = _miss_trace()
-
-    kernel_best = None
-    for _ in range(3):
-        started = time.perf_counter()
-        with vector.vector_disabled():
-            reference = run_trace(system, packed, name="missloop")
-        elapsed = time.perf_counter() - started
-        kernel_best = elapsed if kernel_best is None \
-            else min(kernel_best, elapsed)
-
-    result = benchmark.pedantic(run_trace, args=(system, packed),
-                                kwargs={"name": "missloop"},
-                                rounds=5, iterations=1)
-    assert result.cycles == reference.cycles
-    assert result.stats.flat() == reference.stats.flat()
-    seconds = benchmark.stats["min"]
-    rps = result.ops / seconds
-    kernel_rps = result.ops / kernel_best
-    ratio = rps / kernel_rps
-    print(f"\nvector miss loop: {result.ops} requests in "
-          f"{seconds:.3f}s (best of 5) = {rps:,.0f} req/s "
-          f"({ratio:.2f}x same-trace kernel {kernel_rps:,.0f} req/s)")
-    _merge_artifact({
-        "vector_miss_loop_requests_per_sec": round(rps),
-        "vector_miss_loop_kernel_requests_per_sec": round(kernel_rps),
-    })
-    # Acceptance: the vectorized miss path must clear 2x the pinned
-    # scalar kernel on the same trace and host.
-    assert rps >= 2.0 * kernel_rps
-
-
 def test_tier_replay_requests_per_second(benchmark):
     """Replay throughput with the die-stacked tier below the LLC.
 
     The miss trace's 1.75MB working set overflows the scaled LLC, so
     below-LLC traffic flows through the hybrid tier: the flat half
     absorbs the low tiles, the cache half sees the rest through the
-    TDRAM probe + RBLA install path.  The pinned scalar kernel replays
-    the same trace for bit-identity; the recorded throughput is gated
-    by ``check_bench_regression.py`` so the tier hook on the replay
-    hot path cannot silently decay.
+    TDRAM probe + RBLA install path.  One untimed replay checks that
+    the trace reaches the tier and that the timed rounds reproduce it
+    exactly; the recorded throughput is gated by
+    ``check_bench_regression.py`` so the tier hook on the replay hot
+    path cannot silently decay.
     """
     overrides = {"tier.mode": "hybrid",
                  "tier.size_bytes": 2 * 1024 * 1024,
@@ -356,8 +227,7 @@ def test_tier_replay_requests_per_second(benchmark):
     system = apply_overrides(make_system("1P2L", 1.0), overrides)
     packed = _miss_trace()
 
-    with vector.vector_disabled():
-        reference = run_trace(system, packed, name="tierloop")
+    reference = run_trace(system, packed, name="tierloop")
     tier_stats = {name: value
                   for name, value in reference.stats.flat().items()
                   if name.startswith("tier.")}

@@ -12,7 +12,7 @@ Levels are chained L1 -> ... -> LLC -> memory port, and the hierarchy
 object is the single entry point the CPU model uses.  When the
 system's :class:`~repro.common.config.TierConfig` is active, a
 :class:`~repro.tier.DieStackedTier` slots in between the LLC and the
-memory port — :attr:`CacheHierarchy.port` (the kernel/vector chain
+memory port — :attr:`CacheHierarchy.port` (the kernel chain's
 bottom) then *is* the tier, so every replay path sees the same
 component in the same program order.
 """

@@ -74,74 +74,6 @@ class StridePrefetcher:
         self._stats.add("prefetches_generated", len(lines))
         return lines
 
-    def plan_quiescent(self, ref_id: int, addrs: List[int]):
-        """Longest non-firing training prefix of ``addrs``.
-
-        Returns ``(count, state)``: fed the first ``count`` addresses
-        through :meth:`observe`, the automaton would generate no
-        prefetch (and touch no stats), and ``state`` is the entry
-        state after exactly those observes, committable later via
-        :meth:`apply_state`.  Nothing is mutated here, so bulk replay
-        can qualify a window, shrink it, and re-plan.  An access at
-        index ``count`` (if any) would fire — the caller must replay
-        it and everything after through the scalar path.  A disabled
-        prefetcher ignores every access, so the whole list is
-        quiescent with no state.
-        """
-        if not self._config.enabled:
-            return len(addrs), None
-        if not addrs:
-            return 0, None
-        threshold = self._config.train_threshold
-        entry = self._table.get(ref_id)
-        if entry is None:
-            created = True
-            last, stride, conf = addrs[0], 0, 0
-            i = 1
-        else:
-            created = False
-            last = entry.last_addr
-            stride = entry.stride
-            conf = entry.confidence
-            i = 0
-        n = len(addrs)
-        while i < n:
-            addr = addrs[i]
-            step = addr - last
-            if step == 0:
-                pass
-            elif step == stride:
-                # min(conf + 1, threshold) >= threshold exactly when
-                # conf + 1 >= threshold: this observe would fire (and
-                # bump prefetches_generated even for an empty burst).
-                if conf + 1 >= threshold:
-                    break
-                conf += 1
-            else:
-                stride = step
-                conf = 1
-            last = addr
-            i += 1
-        if i == 0:
-            return 0, None
-        return i, (created, last, stride, conf)
-
-    def apply_state(self, ref_id: int, state) -> None:
-        """Commit a :meth:`plan_quiescent` state — bit-identical to the
-        per-access observes it summarizes (a quiescent observe mutates
-        nothing but its own entry)."""
-        if state is None:
-            return
-        created, last, stride, conf = state
-        if created:
-            self._evict_if_full()
-            self._table[ref_id] = _StrideEntry(last, stride, conf)
-        else:
-            entry = self._table[ref_id]
-            entry.last_addr = last
-            entry.stride = stride
-            entry.confidence = conf
-
     def _evict_if_full(self) -> None:
         if len(self._table) >= self._config.table_entries:
             oldest = next(iter(self._table))

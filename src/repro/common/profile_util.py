@@ -13,7 +13,7 @@ additionally exports the profile directory through
 in :func:`maybe_profile_worker`, dumping cumulative per-worker stats
 to ``OUTDIR/profile.worker-<pid>.pstats``.  On exit the parent merges
 every worker dump into ``profile.pstats``, so ``--profile --jobs N``
-reports the simulation work itself — including the vectorized and
+reports the simulation work itself — including the kernel and
 sharded replay paths that run inside workers.
 
 Distinct from :mod:`repro.sw.profiling`, which implements the paper's

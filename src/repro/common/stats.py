@@ -30,41 +30,6 @@ def lat_bucket(value: int) -> int:
     return bucket if bucket < last else last
 
 
-try:  # optional accelerator (same policy as repro.core.kernels)
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the test env
-    _np = None
-
-# float64 mantissas hold 52 bits: below this bound the frexp exponent
-# of a positive integer equals its bit length exactly, so the numpy
-# bucketing below is bit-identical to :func:`lat_bucket`.
-_FREXP_EXACT = 1 << 52
-
-
-def lat_hist_counts(latencies) -> List[Tuple[int, int]]:
-    """Bucket counts of ``latencies`` under the shared log2 scheme.
-
-    Returns sorted ``(bucket, count)`` pairs for the buckets that
-    occur — the vectorized counterpart of per-value :func:`lat_bucket`,
-    used by the bulk replay paths to fold a whole window's latencies
-    into a histogram at once.  Values at or above 2**52 (or a missing
-    numpy) take the scalar loop.
-    """
-    if _np is not None and len(latencies) >= 16:
-        arr = _np.asarray(latencies, dtype=_np.int64)
-        if int(arr.min()) >= 0 and int(arr.max()) < _FREXP_EXACT:
-            buckets = _np.frexp(arr.astype(_np.float64))[1]
-            last = len(LAT_HIST_KEYS) - 1
-            counts = _np.bincount(_np.minimum(buckets, last))
-            return [(int(b), int(counts[b]))
-                    for b in _np.flatnonzero(counts)]
-    scalar: Dict[int, int] = {}
-    for value in latencies:
-        bucket = lat_bucket(value)
-        scalar[bucket] = scalar.get(bucket, 0) + 1
-    return sorted(scalar.items())
-
-
 @dataclass(slots=True)
 class Sample:
     """One point of a sampled time series."""

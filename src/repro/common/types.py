@@ -399,11 +399,11 @@ _BIG_ENDIAN = array("Q", [1]).tobytes()[0] == 0
 # per-epoch stats merge by plain summation.  The segment boundaries are
 # part of the experiment's identity — ``shards=1`` is the classic
 # uninterrupted replay — so they must be a pure function of
-# ``(total, shards)``.  Boundaries snap to the vector replay's chunk
-# quantum so a shard edge is always a dependency-window edge.
+# ``(total, shards)``.  Interior boundaries snap down to a fixed
+# quantum, which is part of that identity: changing it would move the
+# epoch edges of every sharded result.
 
-#: Classification-chunk quantum of the vectorized replay
-#: (:mod:`repro.core.vector`); shard boundaries align to it.
+#: Shard-boundary quantum, in requests.
 WINDOW_ALIGN = 4096
 
 

@@ -34,7 +34,7 @@ from ..common.types import (
     Request,
     line_words,
 )
-from . import kernels, vector
+from . import kernels
 from ..common.stats import LAT_HIST_KEYS
 
 #: Callback invoked as sampler(ops_retired, now_cycles).
@@ -92,21 +92,15 @@ class TraceDrivenCpu:
             sample_every: int = 0) -> int:
         """Execute a trace; returns total cycles including drain.
 
-        A :class:`PackedTrace` is dispatched to :meth:`run_vector`
-        when the batched window replay covers the design and the trace
-        is long enough to amortize its classification passes
-        (``vector.MIN_VECTOR_TRACE``), else to :meth:`run_kernel` when
-        the fused flat-store kernel does (and no occupancy sampler
-        needs per-request callbacks), else to :meth:`run_packed` — all
-        bit-identical to the object path below, which any other
-        iterable takes.
+        A :class:`PackedTrace` is dispatched to :meth:`run_kernel`
+        when the fused flat-store kernel covers the design (and no
+        occupancy sampler needs per-request callbacks), else to
+        :meth:`run_packed` — both bit-identical to the object path
+        below, which any other iterable takes.
         """
         if isinstance(trace, PackedTrace):
             if (sampler is None or sample_every <= 0) \
                     and kernels.supports(self._hierarchy):
-                if len(trace) >= vector.MIN_VECTOR_TRACE \
-                        and vector.supports(self._hierarchy):
-                    return self.run_vector(trace)
                 return self.run_kernel(trace)
             return self.run_packed(trace, sampler, sample_every)
         now = 0
@@ -165,17 +159,10 @@ class TraceDrivenCpu:
         engine = kernels.KernelEngine(self._hierarchy)
         return engine.replay(trace, self._config, self._stats)
 
-    def run_vector(self, trace: PackedTrace) -> int:
-        """Execute a packed trace through the batched window replay.
-
-        Only valid when :func:`repro.core.vector.supports` accepts the
-        hierarchy; :meth:`run` performs that dispatch.  Statistics are
-        bit-identical to :meth:`run_kernel` (and hence to the object
-        path): hit-dense dependency windows retire through numpy
-        scatters, everything else through an exact scalar step.
-        """
-        engine = vector.VectorEngine(self._hierarchy)
-        return engine.replay(trace, self._config, self._stats)
+    # The retired vector engine's name, kept only because
+    # ``perfbench/worker.py --trace`` wraps every ``run_*`` engine
+    # method by name; nothing dispatches here.
+    run_vector = run_kernel
 
     def _flush_latency_histogram(self, hist: List[int]) -> None:
         """Record per-request latency buckets (bucket = bit_length)."""

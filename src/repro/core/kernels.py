@@ -563,171 +563,6 @@ class _FlatStore:
         return self.pending_at.get(line)
 
 
-#: Packed-word layout of :class:`MshrTable` entries:
-#: ``completion << 20 | target_slot << 4 | serving_level``.  Twenty
-#: low bits leave 44 for the completion cycle — the same headroom the
-#: meta words give LRU stamps.
-MSHR_LEVEL_BITS = 4
-MSHR_SLOT_BITS = 16
-MSHR_NO_SLOT = (1 << MSHR_SLOT_BITS) - 1
-_MSHR_LEVEL_MASK = (1 << MSHR_LEVEL_BITS) - 1
-_MSHR_SLOT_SHIFT = MSHR_LEVEL_BITS
-_MSHR_COMP_SHIFT = MSHR_LEVEL_BITS + MSHR_SLOT_BITS
-
-
-def pack_mshr_word(completion: int, level: int,
-                   slot: int = MSHR_NO_SLOT) -> int:
-    """Pack one pending fill into a 64-bit MSHR table word."""
-    return (completion << _MSHR_COMP_SHIFT) | (slot << _MSHR_SLOT_SHIFT) \
-        | level
-
-
-def unpack_mshr_word(word: int):
-    """Inverse of :func:`pack_mshr_word`: ``(completion, slot, level)``."""
-    return (word >> _MSHR_COMP_SHIFT,
-            (word >> _MSHR_SLOT_SHIFT) & MSHR_NO_SLOT,
-            word & _MSHR_LEVEL_MASK)
-
-
-class MshrTable:
-    """Flat FIFO MSHR mirror for window-scoped bulk fills.
-
-    Entries live as packed 64-bit pending words (:func:`pack_mshr_word`)
-    in one append-only ``array('Q')`` behind a retire ``head`` pointer.
-    The table relies on window completions being nondecreasing in
-    insertion order — which bulk qualification enforces and
-    :attr:`monotone` tracks — so retirement pops strictly front to
-    back, the capacity scan's ``min(pending.values())`` is always the
-    head word, and merge (coalesce), retire, and the ``earliest``
-    retirement gate mirror the inlined object MSHR of
-    :class:`_FlatStore` bit for bit.  :meth:`seed` copies a store's
-    pending file in and :meth:`flush` writes the survivors back out, so
-    a window retired through this table leaves the store exactly where
-    the scalar transactions would have.  Because the word/line arrays
-    are append-only (pops only advance ``head``), a bulk executor can
-    rewind a partially executed row by restoring ``head``,
-    ``earliest``, and ``last_completion``.
-    """
-
-    __slots__ = ("words", "lines", "index", "head", "earliest",
-                 "monotone", "last_completion")
-
-    def __init__(self) -> None:
-        self.words = array("Q")
-        self.lines: List[int] = []
-        self.index: Dict[int, int] = {}
-        self.head = 0
-        self.earliest = None
-        self.monotone = True
-        self.last_completion = None
-
-    def __len__(self) -> int:
-        return len(self.lines) - self.head
-
-    @classmethod
-    def seed(cls, store: "_FlatStore") -> "MshrTable":
-        """Copy ``store``'s pending file into a fresh table.
-
-        A seed whose completions are not nondecreasing in the dict's
-        insertion order (possible when earlier fills resolved at mixed
-        depths) clears :attr:`monotone`; callers must bail to the
-        scalar path then — the FIFO retire would pop out of order.
-        """
-        table = cls()
-        lvl = store.pending_lvl
-        index = table.index
-        lines = table.lines
-        words = table.words
-        last = None
-        for line, completion in store.pending_at.items():
-            if last is not None and completion < last:
-                table.monotone = False
-            last = completion
-            index[line] = len(lines)
-            lines.append(line)
-            words.append(pack_mshr_word(completion, lvl[line]))
-        table.last_completion = last
-        table.earliest = store.earliest
-        return table
-
-    def completion_of(self, line: int):
-        """Pending completion of ``line`` or None (the merge probe)."""
-        pos = self.index.get(line)
-        if pos is None:
-            return None
-        return self.words[pos] >> _MSHR_COMP_SHIFT
-
-    def level_of(self, line: int) -> int:
-        return self.words[self.index[line]] & _MSHR_LEVEL_MASK
-
-    def slot_of_line(self, line: int) -> int:
-        return (self.words[self.index[line]] >> _MSHR_SLOT_SHIFT) \
-            & MSHR_NO_SLOT
-
-    def min_completion(self) -> int:
-        return self.words[self.head] >> _MSHR_COMP_SHIFT
-
-    def retire(self, now: int) -> None:
-        """``_FlatStore._mshr_retire`` parity, head-pointer-driven."""
-        head = self.head
-        lines = self.lines
-        n = len(lines)
-        if head >= n:
-            return
-        earliest = self.earliest
-        if earliest is not None and now < earliest:
-            return
-        words = self.words
-        index = self.index
-        while head < n and (words[head] >> _MSHR_COMP_SHIFT) <= now:
-            del index[lines[head]]
-            head += 1
-        self.head = head
-        self.earliest = (words[head] >> _MSHR_COMP_SHIFT) if head < n \
-            else None
-
-    def insert(self, line: int, completion: int, level: int,
-               issue: int, slot: int = MSHR_NO_SLOT) -> None:
-        """``_FlatStore._mshr_insert`` parity minus the counter bumps."""
-        last = self.last_completion
-        if last is not None and completion < last:
-            self.monotone = False
-        self.last_completion = completion
-        self.index[line] = len(self.lines)
-        self.lines.append(line)
-        self.words.append(pack_mshr_word(completion, level, slot))
-        earliest = self.earliest
-        if earliest is None or issue < earliest:
-            earliest = issue
-        if completion < earliest:
-            earliest = completion
-        self.earliest = earliest
-
-    def flush(self, store: "_FlatStore") -> None:
-        """Write the surviving entries back into ``store``'s pending
-        file (dict order is never observed by the scalar paths — every
-        consumer scans for a min or a key).  Reads only the live
-        ``[head:]`` region of the flat arrays, never the index, so a
-        rewound table flushes correctly too."""
-        pending_at = store.pending_at
-        pending_lvl = store.pending_lvl
-        tiles = store.pending_tiles
-        pending_at.clear()
-        pending_lvl.clear()
-        tiles.clear()
-        words = self.words
-        lines = self.lines
-        for pos in range(self.head, len(lines)):
-            line = lines[pos]
-            word = words[pos]
-            pending_at[line] = word >> _MSHR_COMP_SHIFT
-            pending_lvl[line] = word & _MSHR_LEVEL_MASK
-            key = line >> 3
-            count = tiles.get(key)
-            tiles[key] = 1 if count is None else count + 1
-        store.earliest = self.earliest
-
-
 class _Kernel2L(_FlatStore):
     """Flat-store mirror of :class:`repro.cache.cache_1p2l.Cache1P2L`."""
 
@@ -1596,9 +1431,8 @@ class _Span2L:
     One instance spans one logical replay: the clock, the cumulative
     stall cycles, the outstanding-read heap, the latency histogram,
     and the loop-local counters :func:`_flush_shared` folds at the
-    end.  :func:`_replay_2l` threads one instance through a single
-    full-trace span; the vector engine (:mod:`repro.core.vector`)
-    threads one through interleaved scalar spans and bulk windows.
+    end.  :func:`_replay_2l` and :func:`_replay_1l` thread one
+    instance through a single full-trace span.
     """
 
     __slots__ = ("now", "stalled", "window", "hist", "n_hits",
@@ -2207,9 +2041,7 @@ def _replay_1l_span(engine: KernelEngine, packed, start, stop,
                     cpu_config, state) -> None:
     """Replay 1-D predecoded requests ``[start, stop)`` with ``state``.
 
-    The 1P1L counterpart of :func:`_replay_2l_span`: shared counter
-    cells are exact after every call, so the vector engine can
-    interleave scalar spans with bulk windows against the same engine.
+    The 1P1L counterpart of :func:`_replay_2l_span`.
     """
     l1 = engine.levels[0]
     now = state.now

@@ -19,7 +19,7 @@ from ..common.stats import StatRegistry
 from ..common.types import PackedTrace, ShardPlan
 from ..sw.layout import Layout, make_layout
 from ..sw.program import Program
-from ..sw.tracegen import generate_packed_trace, generate_trace
+from ..sw.tracegen import generate_packed_trace
 from ..sw.tracestore import TraceStore
 from ..workloads.registry import build_workload
 from .cpu import TraceDrivenCpu
@@ -79,11 +79,20 @@ def ensure_trace(workload: str, size: str,
     return _materialized_trace(workload, size, logical_dims)
 
 
+def _generate(program: Program, logical_dims: int,
+              layout: Layout) -> PackedTrace:
+    """Walk ``program`` into a packed trace (one counted generation)."""
+    global _traces_generated
+    trace = generate_packed_trace(program, logical_dims, layout)
+    _traces_generated += 1
+    return trace
+
+
 def _materialized_trace(workload: str, size: str,
                         logical_dims: int) -> Tuple[str, PackedTrace]:
     """(program name, packed trace) for a default-layout workload."""
     global _trace_cache_hits, _trace_cache_misses
-    global _trace_store_hits, _trace_store_misses, _traces_generated
+    global _trace_store_hits, _trace_store_misses
     key = (workload, size, logical_dims)
     cached = _TRACE_CACHE.get(key)
     if cached is not None:
@@ -101,8 +110,7 @@ def _materialized_trace(workload: str, size: str,
     if entry is None:
         program = build_workload(workload, size)
         layout = make_layout(program.arrays, logical_dims)
-        trace = generate_packed_trace(program, logical_dims, layout)
-        _traces_generated += 1
+        trace = _generate(program, logical_dims, layout)
         entry = (program.name, trace)
         if _TRACE_STORE is not None:
             _TRACE_STORE.store(workload, size, logical_dims,
@@ -143,7 +151,9 @@ def trace_cache_info() -> Dict[str, int]:
     when no store is configured); ``corrupt_quarantined`` counts corrupt
     store entries the store quarantined (the same counter name the run
     cache's ``cache_info`` reports); ``generated`` counts actual
-    kernel walks performed by this process.
+    kernel walks performed by this process — memoized default-layout
+    traces and the unmemoized traces of explicit-program or
+    explicit-layout runs alike.
     """
     return {"hits": _trace_cache_hits, "misses": _trace_cache_misses,
             "entries": len(_TRACE_CACHE),
@@ -286,7 +296,7 @@ def run_simulation(system: SystemConfig,
         if layout is None:
             layout = make_layout(program.arrays, logical_dims)
         name = program.name
-        trace = generate_trace(program, logical_dims, layout)
+        trace = _generate(program, logical_dims, layout)
     stats = StatRegistry()
     hierarchy = CacheHierarchy(system, stats, replacement)
     samples: List[OccupancySample] = []

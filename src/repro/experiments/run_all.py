@@ -42,7 +42,7 @@ from ..common.errors import (
 )
 from ..cache.hierarchy import CacheHierarchy
 from ..common.stats import StatRegistry
-from ..core import kernels, vector
+from ..core import kernels
 from ..core.simulator import trace_cache_info
 from ..sw.tracestore import TRACECACHE_DIRNAME
 from . import faults
@@ -126,17 +126,14 @@ def dispatch_for_key(key: RunKey) -> str:
     Mirrors :meth:`TraceDrivenCpu.run` without materializing the
     trace: sampled points replay on the packed interpreter (the
     sampler needs per-op callbacks), everything else asks
-    :func:`repro.core.vector.supports` and
     :func:`repro.core.kernels.supports` against the point's real
-    hierarchy.  Returns ``"vector"``, ``"kernel"`` or ``"packed"``.
+    hierarchy.  Returns ``"kernel"`` or ``"packed"``.
     """
     if key.sample_every:
         return "packed"
     hierarchy = CacheHierarchy(system_for_key(key), StatRegistry(),
                                "lru")
-    if not kernels.supports(hierarchy):
-        return "packed"
-    return "vector" if vector.supports(hierarchy) else "kernel"
+    return "kernel" if kernels.supports(hierarchy) else "packed"
 
 
 def coverage_report(names: Optional[Tuple[str, ...]] = None) \
@@ -319,7 +316,7 @@ def main(argv: Optional[List[str]] = None) -> None:
                              "deterministically (default: 1)")
     parser.add_argument("--dry-run", action="store_true",
                         help="simulate nothing: print the replay-"
-                             "engine dispatch (vector/kernel/packed) "
+                             "engine dispatch (kernel/packed) "
                              "of every planned figure configuration "
                              "as JSON and exit")
     args = parser.parse_args(argv)

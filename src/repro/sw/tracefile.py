@@ -134,7 +134,17 @@ def read_trace(source: Union[str, IO[str]]) -> Iterator[Request]:
 def write_packed_trace(trace: PackedTrace,
                        destination: Union[str, IO[bytes]],
                        name: str = "trace") -> int:
-    """Write a packed trace file; returns the number of requests."""
+    """Write a packed trace file; returns the number of requests.
+
+    Raises:
+        ValueError: ``name`` contains a NUL character.  The name field
+            is NUL-padded, so such a name would not read back intact;
+            nothing is written (or created) then.
+    """
+    if "\x00" in name:
+        raise ValueError(f"packed trace name {name!r} contains NUL, "
+                         f"which the NUL-padded name field cannot "
+                         f"round-trip")
     if isinstance(destination, str):
         with open(destination, "wb") as handle:
             return write_packed_trace(trace, handle, name)

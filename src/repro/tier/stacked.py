@@ -18,10 +18,9 @@ One component, three personalities (:class:`TierConfig` selects):
 The tier speaks the inter-level protocol of
 :mod:`repro.cache.base` — ``fetch_line`` / ``writeback_line`` — and
 sits where the raw :class:`~repro.cache.base.MemoryPort` used to be:
-the LLC (and the kernel/vector replay chains, which bottom out at
+the LLC (and the kernel replay chain, which bottoms out at
 ``hierarchy.port``) call it in program order on every replay path, so
-object, packed, kernel, and vector runs stay bit-identical by
-construction.
+object, packed, and kernel runs stay bit-identical by construction.
 
 Slow-side policy (Meza et al., "row-buffer-locality-aware"): before a
 cache-mode miss goes to the MDA memory, the tier probes the would-be

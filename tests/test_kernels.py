@@ -1,10 +1,15 @@
 """The structure-of-arrays cache kernels (PR-4/PR-7 acceptance).
 
 Covers the fused flat-store replay path: coverage dispatch
-(:func:`repro.core.kernels.supports` and the ``kernel_disabled`` pin),
-three-way bit-identity between the object path, ``run_packed``, and
-``run_kernel`` — including the 2P2L family (dense and sparse block
-fill, duplicate-copy coherence) and dynamic orientation prediction —
+(:func:`repro.core.kernels.supports`, the ``kernel_disabled`` pin, and
+``run`` choosing the kernel at every trace length), three-way
+bit-identity between the object path, ``run_packed``, and
+``run_kernel`` — on registry workloads and on synthetic edge-case
+traces (full-hit and single-row runs, LRU stamp saturation, saturated
+sets, a miss-heavy small-L1 hierarchy, cold-cache sharded epochs),
+including the 2P2L family (dense and sparse block fill, duplicate-copy
+coherence) and dynamic orientation prediction — explicit-program runs
+(custom layout, tiling, legacy compilation) against the object path,
 the flat-store replacement edge cases (LRU age saturation and
 compaction, eviction tie-breaking, orientation-bit preservation across
 evictions in same-set mode), the packed presence/dirty block-word
@@ -21,6 +26,7 @@ from repro.cache.cache_2p2l import (
     unpack_block_word,
 )
 from repro.cache.hierarchy import CacheHierarchy
+from repro.common.config import CpuConfig, MemoryConfig, SystemConfig
 from repro.common.errors import SimulationError
 from repro.common.stats import StatRegistry
 from repro.common.types import (
@@ -28,11 +34,18 @@ from repro.common.types import (
     Orientation,
     PackedTrace,
     Request,
+    ShardPlan,
 )
-from repro.core import kernels, vector
+from repro.core import kernels
 from repro.core.cpu import TraceDrivenCpu
-from repro.core.simulator import run_trace
-from repro.core.system import make_system
+from repro.core.simulator import (
+    run_simulation,
+    run_trace,
+    trace_cache_info,
+)
+from repro.core.system import _l1, _llc_sram, make_system
+from repro.sw.layout import TiledLayout
+from repro.sw.tiling import tile_program
 from repro.sw.tracegen import generate_packed_trace, generate_trace
 from repro.workloads.registry import build_workload
 
@@ -129,33 +142,139 @@ class TestSupports:
                 sample_every=256)
         assert samples
 
+    def test_run_picks_kernel_at_every_length(self, monkeypatch):
+        """``run`` replays a covered packed trace on ``run_kernel``
+        below, at, and above 8,192 requests (the trace-length floor
+        the retired vector engine used to claim)."""
+        replayed = []
+        original = TraceDrivenCpu.run_kernel
+
+        def spy(self, trace):
+            replayed.append(len(trace))
+            return original(self, trace)
+
+        monkeypatch.setattr(TraceDrivenCpu, "run_kernel", spy)
+        lengths = [8_191, 8_192, 24_576]
+        for length in lengths:
+            system = make_system("1P2L", 1.0)
+            stats = StatRegistry()
+            cpu = TraceDrivenCpu(system.cpu,
+                                 CacheHierarchy(system, stats), stats)
+            cpu.run(PackedTrace.from_requests(
+                [_row_vector(0, i & 7) for i in range(length)]))
+        assert replayed == lengths
+
+
+def _row_vector(tile, row):
+    """A vector read of row line ``row`` in ``tile`` (see decoder.py)."""
+    return Request(addr=((tile << 6) | (row << 3)) << 3,
+                   orientation=Orientation.ROW,
+                   width=AccessWidth.VECTOR,
+                   is_write=False, ref_id=0)
+
+
+#: A stock 4KB L1 over a 256KB SRAM second level (512 sets x 8 ways):
+#: a working set of a few thousand tiles misses the L1 on every access
+#: and is served by the second level.
+SMALL_L1 = "L1_4K-L2_256K"
+
+
+def _system(design):
+    if design == SMALL_L1:
+        return SystemConfig(
+            levels=[_l1(2), _llc_sram(256 * 1024, 2, "different_set",
+                                      name="L2")],
+            memory=MemoryConfig(), cpu=CpuConfig())
+    return make_system(design, 1.0)
+
+
+def _wide_misses(n, tiles=3584):
+    """Row-0 vector reads cycling ``tiles`` distinct tiles."""
+    return [_row_vector(i % tiles, 0) for i in range(n)]
+
+
+def _full_hit_run():
+    """Vector reads cycling one tile's 8 rows: all hits after warmup."""
+    return [[_row_vector(0, i & 7) for i in range(12_288)]]
+
+
+def _single_row_runs():
+    """Hot-tile hits alternating with striding misses."""
+    reqs = []
+    for i in range(2048):
+        reqs.append(_row_vector(0, i & 7))
+        reqs.append(_row_vector(16 + (i % 512), i & 7))
+    return [reqs]
+
+
+def _mixed_hit_miss():
+    """64-request runs of hot-set hits alternating with miss runs."""
+    return [[_row_vector(i & 7, (i >> 3) & 7) if (i >> 6) & 1
+             else _row_vector(64 + (i % 3072), 0)
+             for i in range(16_384)]]
+
+
+def _sharded_epochs():
+    """Each epoch of a 2-way ShardPlan, replayed from a cold cache."""
+    reqs = _wide_misses(32_768)
+    plan = ShardPlan.plan(len(reqs), 2)
+    return [reqs[begin:end]
+            for begin, end in zip(plan.bounds, plan.bounds[1:])]
+
+
+#: Synthetic identity cases: name -> (design, epochs builder, AGE_LIMIT
+#: override or None).  Each builder returns one request list per
+#: cold-cache replay.
+EDGE_CASES = {
+    "full-hit-run": ("1P2L", _full_hit_run, None),
+    "single-row-runs": ("1P2L", _single_row_runs, None),
+    "mixed-hit-miss": (SMALL_L1, _mixed_hit_miss, None),
+    # Both levels' stamps saturate: a dozen compactions per replay.
+    "age-limit": (SMALL_L1, lambda: [_wide_misses(16_384)], 5_000),
+    # 4608 tiles over 4096 second-level lines: every set evicts.
+    "saturated-sets": (SMALL_L1,
+                       lambda: [_wide_misses(16_384, tiles=4608)],
+                       None),
+    "l2-served-misses": (SMALL_L1, lambda: [_wide_misses(16_384)],
+                         None),
+    "sharded-epochs": (SMALL_L1, _sharded_epochs, None),
+}
+
+IDENTITY_CASES = [
+    pytest.param(design, workload, id=f"{workload}-{design}")
+    for workload in ("sobel", "htap1", "sgemm") for design in COVERED
+] + [
+    pytest.param(design, name, id=f"{name}-{design}")
+    for name, (design, _, _) in EDGE_CASES.items()
+]
+
 
 class TestKernelParity:
-    @pytest.mark.parametrize("design", COVERED)
-    @pytest.mark.parametrize("workload", ["sobel", "htap1"])
-    def test_three_way_bit_identity(self, design, workload):
-        """Object path, run_packed, and run_kernel agree exactly."""
-        system = make_system(design, 1.0)
-        dims = system.logical_dims
-        program = build_workload(workload, "small")
-        objects = list(generate_trace(program, dims))
-        packed = generate_packed_trace(program, dims)
-
-        via_objects = run_trace(make_system(design, 1.0), objects,
-                                name="t")
-        with kernels.kernel_disabled():
-            via_packed = run_trace(make_system(design, 1.0), packed,
-                                   name="t")
-        # Pin the vector engine off so this leg really exercises the
-        # scalar run_kernel loop (tests/test_vector.py covers the
-        # vector leg of the same identity).
-        with vector.vector_disabled():
-            via_kernel = run_trace(make_system(design, 1.0), packed,
-                                   name="t")
-        assert via_kernel.cycles == via_objects.cycles
-        assert via_kernel.ops == via_objects.ops
-        assert via_kernel.stats.flat() == via_objects.stats.flat()
-        assert via_kernel.stats.flat() == via_packed.stats.flat()
+    @pytest.mark.parametrize("design,workload", IDENTITY_CASES)
+    def test_three_way_bit_identity(self, design, workload,
+                                    monkeypatch):
+        """Object path, run_packed, and run_kernel agree exactly, on
+        registry workloads and on synthetic edge-case traces."""
+        if workload in EDGE_CASES:
+            _, build, age_limit = EDGE_CASES[workload]
+            if age_limit is not None:
+                monkeypatch.setattr(kernels, "AGE_LIMIT", age_limit)
+            epochs = build()
+        else:
+            program = build_workload(workload, "small")
+            epochs = [list(generate_trace(program,
+                                          _system(design).logical_dims))]
+        for objects in epochs:
+            packed = PackedTrace.from_requests(objects)
+            via_objects = run_trace(_system(design), objects, name="t")
+            with kernels.kernel_disabled():
+                via_packed = run_trace(_system(design), packed,
+                                       name="t")
+            via_kernel = run_trace(_system(design), packed, name="t")
+            assert via_kernel.cycles == via_objects.cycles
+            assert via_kernel.ops == via_objects.ops == len(objects)
+            assert via_kernel.stats.flat() == via_objects.stats.flat()
+            assert via_kernel.stats.flat() == via_packed.stats.flat()
 
     @pytest.mark.parametrize("design", COVERED)
     def test_age_saturation_compacts_and_preserves_order(
@@ -179,23 +298,14 @@ class TestKernelParity:
         system = make_system(design, 1.0)
         packed = generate_packed_trace(build_workload("sgemm", "small"),
                                        system.logical_dims)
-        with vector.vector_disabled():
-            via_kernel = run_trace(make_system(design, 1.0), packed,
-                                   name="t")
+        via_kernel = run_trace(make_system(design, 1.0), packed,
+                               name="t")
         assert compactions, "AGE_LIMIT=300 must force compactions"
         with kernels.kernel_disabled():
             reference = run_trace(make_system(design, 1.0), packed,
                                   name="t")
         assert via_kernel.cycles == reference.cycles
         assert via_kernel.stats.flat() == reference.stats.flat()
-
-
-def _row_vector(tile, row):
-    """A vector read of row line ``row`` in ``tile`` (see decoder.py)."""
-    return Request(addr=((tile << 6) | (row << 3)) << 3,
-                   orientation=Orientation.ROW,
-                   width=AccessWidth.VECTOR,
-                   is_write=False, ref_id=0)
 
 
 class TestReplacementEdgeCases:
@@ -267,6 +377,50 @@ class TestReplacementEdgeCases:
         assert l1_orients == {0, 1}
 
 
+def _layout_mismatch_point():
+    """An MDA-tiled layout under a row-major 1P1L system."""
+    program = build_workload("sgemm", "small")
+    return "1P1L", program, TiledLayout(program.arrays), None
+
+
+def _future_tiling_point():
+    """A loop-tiled program on the default layout."""
+    program = tile_program(build_workload("sgemm", "small"),
+                           {"i": 16, "j": 16, "k": 16})
+    return "1P2L", program, None, None
+
+
+def _dynamic_orientation_point():
+    """A legacy (1-D compiled) trace over the tiled layout, with
+    orientation prediction on."""
+    program = build_workload("sgemm", "small")
+    return "1P2L_Dyn", program, TiledLayout(program.arrays), 1
+
+
+class TestExplicitPrograms:
+    """``run_simulation(program=...)`` generates a packed trace (one
+    counted walk) and replays it on the fast path, bit-identical to
+    the object path over the same walk."""
+
+    @pytest.mark.parametrize("point", [
+        _layout_mismatch_point, _future_tiling_point,
+        _dynamic_orientation_point,
+    ], ids=["layout_mismatch", "future_tiling", "dynamic_orientation"])
+    def test_matches_object_path(self, point):
+        design, program, layout, compile_dims = point()
+        system = make_system(design, 1.0)
+        dims = compile_dims or system.logical_dims
+        generated = trace_cache_info()["generated"]
+        via_run = run_simulation(system, program=program, layout=layout,
+                                 compile_dims=compile_dims)
+        assert trace_cache_info()["generated"] == generated + 1
+        oracle = run_trace(make_system(design, 1.0),
+                           generate_trace(program, dims, layout))
+        assert via_run.cycles == oracle.cycles
+        assert via_run.ops == oracle.ops
+        assert via_run.stats.flat() == oracle.stats.flat()
+
+
 def _word(r, c, tile=0):
     """Byte address of tile cell (r, c) (see decoder.py)."""
     return ((tile << 6) | (r << 3) | c) << 3
@@ -285,18 +439,18 @@ class TestKernel2P2L:
         packed = PackedTrace.from_requests(reqs)
         via_objects = run_trace(make_system(design, 1.0), list(reqs),
                                 name="t")
-        with vector.vector_disabled():
-            via_kernel = run_trace(make_system(design, 1.0), packed,
+        with kernels.kernel_disabled():
+            via_packed = run_trace(make_system(design, 1.0), packed,
                                    name="t")
-        via_vector = run_trace(make_system(design, 1.0), packed,
+        via_kernel = run_trace(make_system(design, 1.0), packed,
                                name="t")
         assert via_kernel.cycles == via_objects.cycles
         assert via_kernel.stats.flat() == via_objects.stats.flat()
-        assert via_vector.cycles == via_objects.cycles
-        assert via_vector.stats.flat() == via_objects.stats.flat()
+        assert via_packed.cycles == via_objects.cycles
+        assert via_packed.stats.flat() == via_objects.stats.flat()
         return via_objects.stats.flat()
 
-    def test_duplicate_coherence_counters(self, monkeypatch):
+    def test_duplicate_coherence_counters(self):
         """Duplicate evictions and cleans stay bit-identical.
 
         The trace forces both Fig. 9 transitions in the 1P2L levels
@@ -305,7 +459,6 @@ class TestKernel2P2L:
         and a vector-read fill crossing a dirty perpendicular line
         (Modified -> Clean, ``duplicate_cleans``).
         """
-        monkeypatch.setattr(vector, "MIN_VECTOR_TRACE", 0)
         R, C = Orientation.ROW, Orientation.COLUMN
         reqs = [
             _scalar(_word(0, 0), R),                  # row 0 resident
@@ -329,9 +482,8 @@ class TestKernel2P2L:
         system = make_system(design, 1.0)
         packed = generate_packed_trace(build_workload("sgemm", "small"),
                                        system.logical_dims)
-        with vector.vector_disabled():
-            via_kernel = run_trace(make_system(design, 1.0), packed,
-                                   name="t")
+        via_kernel = run_trace(make_system(design, 1.0), packed,
+                               name="t")
         with kernels.kernel_disabled():
             reference = run_trace(make_system(design, 1.0), packed,
                                   name="t")
@@ -407,15 +559,6 @@ class TestDynamicOrientation:
                                     R, ref_id=ref))
         flat = self._two_way(reqs)
         assert flat["cache.L1.orientation.table_evictions"] > 0
-
-    def test_vector_rejects_dynamic_orientation(self):
-        """The predictor trains on every scalar access in order, so
-        the vector engine must refuse predictor-enabled designs."""
-        _, hierarchy = _hierarchy("1P2L_Dyn")
-        assert kernels.supports(hierarchy)
-        assert not vector.supports(hierarchy)
-        with pytest.raises(SimulationError, match="dynamic"):
-            vector.VectorEngine(hierarchy)
 
 
 class TestPackedBlockWords:

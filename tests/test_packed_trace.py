@@ -15,7 +15,7 @@ import io
 import os
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.common.errors import ProgramError
 from repro.common.types import (
@@ -84,9 +84,17 @@ class TestPackedEncoding:
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(requests, max_size=32), st.text(max_size=16))
+    @example(reqs=[], name="\x00")
     def test_packed_file_round_trip(self, reqs, name):
         trace = PackedTrace.from_requests(reqs)
         buffer = io.BytesIO()
+        if "\x00" in name:
+            # The name field is NUL-padded, so a NUL in the name could
+            # not read back intact: the writer refuses it up front.
+            with pytest.raises(ValueError, match="NUL"):
+                write_packed_trace(trace, buffer, name=name)
+            assert buffer.getvalue() == b""
+            return
         count = write_packed_trace(trace, buffer, name=name)
         assert count == len(reqs)
         buffer.seek(0)

@@ -42,13 +42,13 @@ class TestKernelCoverage:
         from repro.experiments.run_all import coverage_report
         report = coverage_report()
         assert report, "figure plans must yield configurations"
-        assert set(report.values()) <= {"vector", "kernel", "packed"}
-        # Flagship and baseline designs both replay vectorized;
+        assert set(report.values()) <= {"kernel", "packed"}
+        # Flagship and baseline designs both replay on the kernel;
         # sampled points stay on the interpreter.
         assert report["1P2L|mem=default|resident=0|sampled=0"] \
-            == "vector"
+            == "kernel"
         assert report["1P1L|mem=default|resident=0|sampled=0"] \
-            == "vector"
+            == "kernel"
         assert report["1P2L|mem=default|resident=0|sampled=1"] \
             == "packed"
 
@@ -73,7 +73,7 @@ class TestKernelCoverage:
         out = capsys.readouterr().out
         report = json.loads(out)
         assert report["1P2L|mem=default|resident=0|sampled=0"] \
-            == "vector"
+            == "kernel"
 
     def test_checker_passes_against_baseline(self, capsys):
         import importlib.util
@@ -93,11 +93,11 @@ class TestKernelCoverage:
                          "benchmarks", "check_kernel_coverage.py"))
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        baseline = {"cfg": "vector", "gone": "kernel"}
-        current = {"cfg": "packed", "other": "vector"}
+        baseline = {"cfg": "kernel", "gone": "kernel"}
+        current = {"cfg": "packed", "other": "kernel"}
         failures = module.check(baseline, current)
         assert len(failures) == 2
         assert any("now packed" in f for f in failures)
         assert any("no longer planned" in f for f in failures)
         # Upgrades and new configs pass.
-        assert module.check({"cfg": "kernel"}, {"cfg": "vector"}) == []
+        assert module.check({"cfg": "packed"}, {"cfg": "kernel"}) == []
