@@ -1,8 +1,9 @@
 """The structure-of-arrays cache kernels (PR-4/PR-7 acceptance).
 
 Covers the fused flat-store replay path: coverage dispatch
-(:func:`repro.core.kernels.supports`, the ``kernel_disabled`` pin, and
-``run`` choosing the kernel at every trace length), three-way
+(:func:`repro.core.kernels.supports` and the ``kernel_disabled`` pin;
+``run`` choosing the kernel at every trace length is in
+tests/test_vector.py with the retired engine's cases), three-way
 bit-identity between the object path, ``run_packed``, and
 ``run_kernel`` — on registry workloads and on synthetic edge-case
 traces (full-hit and single-row runs, LRU stamp saturation, saturated
@@ -141,28 +142,6 @@ class TestSupports:
         cpu.run(packed, sampler=lambda ops, now: samples.append(ops),
                 sample_every=256)
         assert samples
-
-    def test_run_picks_kernel_at_every_length(self, monkeypatch):
-        """``run`` replays a covered packed trace on ``run_kernel``
-        below, at, and above 8,192 requests (the trace-length floor
-        the retired vector engine used to claim)."""
-        replayed = []
-        original = TraceDrivenCpu.run_kernel
-
-        def spy(self, trace):
-            replayed.append(len(trace))
-            return original(self, trace)
-
-        monkeypatch.setattr(TraceDrivenCpu, "run_kernel", spy)
-        lengths = [8_191, 8_192, 24_576]
-        for length in lengths:
-            system = make_system("1P2L", 1.0)
-            stats = StatRegistry()
-            cpu = TraceDrivenCpu(system.cpu,
-                                 CacheHierarchy(system, stats), stats)
-            cpu.run(PackedTrace.from_requests(
-                [_row_vector(0, i & 7) for i in range(length)]))
-        assert replayed == lengths
 
 
 def _row_vector(tile, row):

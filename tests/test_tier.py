@@ -3,7 +3,7 @@
 Covers :class:`TierConfig` validation and the override schema (two
 stages: path/field vocabulary, then dataclass invariants), the
 equivalence edges the design promises (size-0 flat == tier disabled,
-hybrid at cache_fraction 1.0 == pure cache mode, bit for bit), three-way
+hybrid at cache_fraction 1.0 == pure cache mode, bit for bit), four-way
 replay-path bit-identity with a tier enabled, determinism across
 ``--jobs``/``--shards``, and the tier's own counter semantics
 (TDRAM folded probe, RBLA install policy, flush draining).
@@ -176,9 +176,10 @@ class TestTierReplayIdentity:
         {"tier.mode": "cache", "tier.size_bytes": 2 * MIB},
         HYBRID,
     ], ids=["cache", "hybrid"])
-    def test_three_way_bit_identity(self, overrides):
-        """Object, packed, and kernel replays agree exactly with a
-        tier below the LLC."""
+    def test_four_way_bit_identity(self, overrides):
+        """Object, packed, and kernel replays of one trace, and the
+        registry entry point replaying its memoized trace, agree
+        exactly with a tier below the LLC."""
         dims = make_system("1P2L", 1.0).logical_dims
         program = build_workload("sgemm", "small")
         objects = list(generate_trace(program, dims))
@@ -191,12 +192,16 @@ class TestTierReplayIdentity:
                                    name="t")
         via_kernel = run_trace(_tier_system(overrides), packed,
                                name="t")
-        for run in (via_packed, via_kernel):
+        via_registry = run_simulation(_tier_system(overrides),
+                                      workload="sgemm", size="small")
+        for run in (via_packed, via_kernel, via_registry):
             assert run.cycles == via_objects.cycles
             assert run.ops == via_objects.ops
             assert run.stats.flat() == via_objects.stats.flat()
 
-    def test_tier_config_stays_kernel_covered(self):
+    def test_tier_config_stays_vector_covered(self):
+        """A tier config stays on the fast path, which since the
+        vector engine's retirement is the kernel."""
         from repro.cache.hierarchy import CacheHierarchy
         hierarchy = CacheHierarchy(_tier_system(HYBRID),
                                    StatRegistry())
