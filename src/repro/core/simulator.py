@@ -10,36 +10,87 @@ every statistic the experiment modules consume.
 from __future__ import annotations
 
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..cache.hierarchy import CacheHierarchy
 from ..common.config import SystemConfig
 from ..common.stats import StatRegistry
 from ..common.types import PackedTrace, ShardPlan
-from ..sw.layout import Layout, make_layout
+from ..sw.layout import Layout, TiledLayout, make_layout
 from ..sw.program import Program
+from ..sw.tiling import tile_program
 from ..sw.tracegen import generate_packed_trace
 from ..sw.tracestore import TraceStore
 from ..workloads.registry import build_workload
 from .cpu import TraceDrivenCpu
 
+# -- Trace variants -----------------------------------------------------------
+#
+# A trace is named by (workload, size, logical_dims, variant).  The
+# variant "" is the protocol default: the workload compiled for the
+# system's logical dimensionality over the matching layout.  The other
+# names form a closed table of the departures experiments replay; a
+# ``RunKey`` carries one in its ``trace`` field.
+
+
+@dataclass(frozen=True)
+class TraceVariant:
+    """How a named trace departs from the protocol default."""
+
+    #: Compile for this logical dimensionality whatever the system's
+    #: (None: the system's own).
+    compile_dims: Optional[int] = None
+    #: Lay the arrays out MDA-tiled whatever the compiled dimensionality.
+    tiled_layout: bool = False
+    #: Strip-mine the i, j and k loops to this tile edge (0: untiled).
+    loop_tile: int = 0
+
+
+TRACE_VARIANTS: Dict[str, TraceVariant] = {
+    "": TraceVariant(),
+    # A legacy binary: 1-D compilation (row annotations, column walks
+    # left as strided scalars) over the MDA-tiled layout — the Section
+    # IV-C layout mismatch and the dynamic-orientation study.
+    "legacy": TraceVariant(compile_dims=1, tiled_layout=True),
+    # Loops tiled 16x16x16 (twice the 8-line 2-D block) on the default
+    # layout — the Section X collaborative-tiling study.
+    "tiled16": TraceVariant(loop_tile=16),
+}
+
+
+def _trace_variant(name: str) -> TraceVariant:
+    """The :data:`TRACE_VARIANTS` entry ``name``; ValueError if unknown."""
+    try:
+        return TRACE_VARIANTS[name]
+    except KeyError:
+        raise ValueError(f"unknown trace variant {name!r}; known: "
+                         f"{sorted(TRACE_VARIANTS)}") from None
+
+
+def trace_dims(variant: str, system_dims: int) -> int:
+    """Logical dimensionality ``variant`` compiles for on a system."""
+    return _trace_variant(variant).compile_dims or system_dims
+
+
 # -- Trace materialization cache ---------------------------------------------
 #
-# A trace is a pure function of (workload, size, logical_dims) when the
-# layout is the protocol default, yet every design point sharing those
-# three re-walked the kernel IR from scratch.  Materializing the packed
-# trace once and replaying it across designs removes the whole compile +
-# walk cost from all but the first run of each (workload, size, dims).
+# A named trace is a pure function of its four-part key, yet every
+# design point sharing it re-walked the kernel IR from scratch.
+# Materializing the packed trace once and replaying it across designs
+# removes the whole compile + walk cost from all but the first run of
+# each key.
 #
 # Three tiers, fastest first:
 #   1. in-process memo (this OrderedDict; shared copy-on-write with
-#      forked pool workers when the parent materializes before forking);
+#      forked pool workers when the parent materializes before forking,
+#      see ``hold_traces``);
 #   2. the persistent trace store, when one has been configured
 #      (``OUTDIR/.tracecache``) — a disk read instead of a kernel walk;
 #   3. trace generation proper, which also populates the store.
 
-_TraceKey = Tuple[str, str, int]
+_TraceKey = Tuple[str, str, int, str]
 _TRACE_CACHE: "OrderedDict[_TraceKey, Tuple[str, PackedTrace]]" = \
     OrderedDict()
 _TRACE_CACHE_MAX = 16
@@ -68,15 +119,36 @@ def trace_store() -> Optional[TraceStore]:
     return _TRACE_STORE
 
 
-def ensure_trace(workload: str, size: str,
-                 logical_dims: int) -> Tuple[str, PackedTrace]:
-    """Materialize (memo -> store -> generate) one default-layout trace.
+def ensure_trace(workload: str, size: str, logical_dims: int,
+                 variant: str = "") -> Tuple[str, PackedTrace]:
+    """Materialize (memo -> store -> generate) one named trace."""
+    return _materialized_trace(workload, size, logical_dims, variant)
 
-    The scheduler calls this in the parent process for every distinct
-    trace a run plan needs before forking workers, so the whole process
-    tree generates each trace at most once.
+
+@contextmanager
+def hold_traces(keys: Iterable[_TraceKey]) -> Iterator[None]:
+    """Materialize every trace in ``keys`` and keep all of them
+    memo-resident until the block exits.
+
+    The schedulers fork their pool workers inside this block, so the
+    workers inherit every trace copy-on-write and the process tree
+    generates (or reads from the store) each one at most once, however
+    many distinct traces the plan needs.  The memo's bound is lifted
+    only for the block: serial runs outside it stay bounded.
     """
-    return _materialized_trace(workload, size, logical_dims)
+    global _TRACE_CACHE_MAX
+    keys = list(dict.fromkeys(keys))
+    bound = _TRACE_CACHE_MAX
+    # The held traces are touched last, so LRU eviction never reaches
+    # them while the bound covers them all.
+    _TRACE_CACHE_MAX = max(bound, len(keys))
+    try:
+        for key in keys:
+            _materialized_trace(*key)
+        yield
+    finally:
+        _TRACE_CACHE_MAX = bound
+        _trim_trace_cache()
 
 
 def _generate(program: Program, logical_dims: int,
@@ -88,12 +160,28 @@ def _generate(program: Program, logical_dims: int,
     return trace
 
 
-def _materialized_trace(workload: str, size: str,
-                        logical_dims: int) -> Tuple[str, PackedTrace]:
-    """(program name, packed trace) for a default-layout workload."""
+def _variant_program(workload: str, size: str, logical_dims: int,
+                     variant: str) -> Tuple[Program, Layout]:
+    """The program and layout one named trace walks."""
+    spec = _trace_variant(variant)
+    if spec.compile_dims is not None and logical_dims != spec.compile_dims:
+        raise ValueError(f"trace variant {variant!r} compiles for "
+                         f"{spec.compile_dims}-D, not {logical_dims}-D")
+    program = build_workload(workload, size)
+    if spec.loop_tile:
+        program = tile_program(program, {var: spec.loop_tile
+                                         for var in "ijk"})
+    layout = TiledLayout(program.arrays) if spec.tiled_layout \
+        else make_layout(program.arrays, logical_dims)
+    return program, layout
+
+
+def _materialized_trace(workload: str, size: str, logical_dims: int,
+                        variant: str = "") -> Tuple[str, PackedTrace]:
+    """(program name, packed trace) for one named trace."""
     global _trace_cache_hits, _trace_cache_misses
     global _trace_store_hits, _trace_store_misses
-    key = (workload, size, logical_dims)
+    key = (workload, size, logical_dims, variant)
     cached = _TRACE_CACHE.get(key)
     if cached is not None:
         _trace_cache_hits += 1
@@ -102,23 +190,27 @@ def _materialized_trace(workload: str, size: str,
     _trace_cache_misses += 1
     entry = None
     if _TRACE_STORE is not None:
-        entry = _TRACE_STORE.load(workload, size, logical_dims)
+        entry = _TRACE_STORE.load(workload, size, logical_dims, variant)
         if entry is not None:
             _trace_store_hits += 1
         else:
             _trace_store_misses += 1
     if entry is None:
-        program = build_workload(workload, size)
-        layout = make_layout(program.arrays, logical_dims)
+        program, layout = _variant_program(workload, size,
+                                           logical_dims, variant)
         trace = _generate(program, logical_dims, layout)
         entry = (program.name, trace)
         if _TRACE_STORE is not None:
             _TRACE_STORE.store(workload, size, logical_dims,
-                               program.name, trace)
+                               program.name, trace, variant)
     _TRACE_CACHE[key] = entry
+    _trim_trace_cache()
+    return entry
+
+
+def _trim_trace_cache() -> None:
     while len(_TRACE_CACHE) > _TRACE_CACHE_MAX:
         _TRACE_CACHE.popitem(last=False)
-    return entry
 
 
 def clear_trace_cache() -> None:
@@ -151,9 +243,9 @@ def trace_cache_info() -> Dict[str, int]:
     when no store is configured); ``corrupt_quarantined`` counts corrupt
     store entries the store quarantined (the same counter name the run
     cache's ``cache_info`` reports); ``generated`` counts actual
-    kernel walks performed by this process — memoized default-layout
-    traces and the unmemoized traces of explicit-program or
-    explicit-layout runs alike.
+    kernel walks performed by this process — memoized named traces
+    and the unmemoized traces of explicit-program or explicit-layout
+    runs alike.
     """
     return {"hits": _trace_cache_hits, "misses": _trace_cache_misses,
             "entries": len(_TRACE_CACHE),
@@ -237,7 +329,8 @@ def run_simulation(system: SystemConfig,
                    sample_every: int = 0,
                    replacement: str = "lru",
                    compile_dims: Optional[int] = None,
-                   shard: Optional[Tuple[int, int]] = None) -> RunResult:
+                   shard: Optional[Tuple[int, int]] = None,
+                   variant: str = "") -> RunResult:
     """Simulate one workload on one system configuration.
 
     Args:
@@ -262,25 +355,33 @@ def run_simulation(system: SystemConfig,
             and each epoch replays from a cold cache — the
             context-switch execution model, identical whether the
             epochs run serially or across pool workers.  Only valid
-            for default-layout registry workloads without occupancy
+            for registry workloads (any ``variant``) without occupancy
             sampling; merge epoch results with
             :func:`merge_run_results`.
+        variant: replay this named trace of ``workload``
+            (:data:`TRACE_VARIANTS`, e.g. ``"legacy"``) instead of the
+            protocol default; it is materialized and memoized like the
+            default trace.
     """
     if (program is None) == (workload is None):
         raise ValueError("pass exactly one of program= or workload=")
-    logical_dims = compile_dims or system.logical_dims
+    if variant and (program is not None or layout is not None):
+        raise ValueError("variant= names a registry workload's trace; "
+                         "it excludes program= and layout=")
+    logical_dims = compile_dims or trace_dims(variant,
+                                              system.logical_dims)
     if shard is not None:
         if program is not None or layout is not None:
-            raise ValueError("shard= requires a default-layout "
-                             "registry workload")
+            raise ValueError("shard= requires a registry workload")
         if sample_every:
             raise ValueError("occupancy sampling cannot be sharded "
                              "(samples are positional within one "
                              "replay)")
     if program is None and layout is None:
-        # Default-layout registry run: replay the materialized trace
-        # shared by every design with this logical dimensionality.
-        name, trace = _materialized_trace(workload, size, logical_dims)
+        # Registry run: replay the materialized trace shared by every
+        # design with this logical dimensionality and variant.
+        name, trace = _materialized_trace(workload, size, logical_dims,
+                                          variant)
         if shard is not None:
             index, count = shard
             plan = ShardPlan.plan(len(trace), count)

@@ -23,6 +23,10 @@ end-to-end cycles do not improve under this CPU model, because the
 recovered hits wait on a single in-flight column fill where the static
 row path overlapped eight independent fills.  An honest negative
 result that supports the paper's choice of static annotation mappings.
+
+Every point is a planned :class:`RunKey` replaying the ``"legacy"``
+trace variant, so the three designs share one materialized trace per
+workload.
 """
 
 from __future__ import annotations
@@ -31,10 +35,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..core.results import format_table, mean, normalized
-from ..core.simulator import run_simulation
-from ..core.system import make_system
-from ..sw.layout import TiledLayout
-from ..workloads.registry import build_workload
+from .runner import ExperimentRunner, RunKey, replay_key
 
 DESIGNS = ("1P1L", "1P2L", "1P2L_Dyn")
 #: Kernels with heavy scalar column walks in legacy compilation
@@ -93,31 +94,38 @@ class DynamicOrientationResult:
                 f"{self.fill_reduction():.3f}x L1 fill traffic")
 
 
-def run_dynamic_orientation(workloads: Optional[List[str]] = None,
+def plan_dynamic_orientation(workloads: Optional[List[str]] = None,
+                             size: str = "large",
+                             llc_mb: float = 1.0) -> List[RunKey]:
+    return [RunKey(design, workload, size, llc_mb, False, "default", 0,
+                   trace="legacy")
+            for workload in workloads or WORKLOADS
+            for design in DESIGNS]
+
+
+def run_dynamic_orientation(runner: Optional[ExperimentRunner] = None,
+                            workloads: Optional[List[str]] = None,
                             size: str = "large",
                             llc_mb: float = 1.0) \
         -> DynamicOrientationResult:
+    """Without a runner each point replays uncached (:func:`replay_key`)."""
     result = DynamicOrientationResult()
     result.workloads = list(workloads or WORKLOADS)
-    for workload in result.workloads:
-        program = build_workload(workload, size)
-        layout = TiledLayout(program.arrays)
-        for design in DESIGNS:
-            # Legacy trace: 1-D compilation (row annotations, scalar
-            # column walks) over the MDA tiled layout.
-            run = run_simulation(make_system(design, llc_mb),
-                                 program=program, layout=layout,
-                                 compile_dims=1)
-            result.cycles.setdefault(design, {})[workload] = run.cycles
-            result.mem_reads.setdefault(design, {})[workload] = \
-                run.memory_reads()
-            result.l1_fills.setdefault(design, {})[workload] = \
-                run.stats.group("cache.L1").get("fills")
+    for key in plan_dynamic_orientation(result.workloads, size, llc_mb):
+        run = runner.run_key(key) if runner else replay_key(key)
+        design, workload = key.design, key.workload
+        result.cycles.setdefault(design, {})[workload] = run.cycles
+        result.mem_reads.setdefault(design, {})[workload] = \
+            run.memory_reads()
+        result.l1_fills.setdefault(design, {})[workload] = \
+            run.stats.group("cache.L1").get("fills")
     return result
 
 
-def main() -> None:
-    print(run_dynamic_orientation().report())
+def main(argv=None) -> None:
+    from .plans import figure_runner
+    print(run_dynamic_orientation(
+        figure_runner("dynamic_orientation", argv)).report())
 
 
 if __name__ == "__main__":

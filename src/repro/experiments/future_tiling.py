@@ -11,8 +11,13 @@ Four points per workload:
 * ``1P2L``            — hardware 2-D lines, untiled loops;
 * ``1P2L+tiling``     — software tiling alone;
 * ``2P2L``            — hardware tiling (2-D blocks) alone;
-* ``2P2L+tiling``     — the collaborative point, loops tiled 8x8x8 to
-  match the 512-byte 2-D block.
+* ``2P2L+tiling``     — the collaborative point, loops tiled 16x16x16,
+  twice the 8-line 2-D block: big enough to amortize the per-tile
+  accumulator traffic, small enough that a working tile set fits the
+  scaled caches.
+
+Every point is a planned :class:`RunKey`; the tiled ones replay the
+``"tiled16"`` trace variant, the untiled ones are Fig. 11 points.
 """
 
 from __future__ import annotations
@@ -21,17 +26,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..core.results import format_table, mean, normalized
-from ..core.simulator import run_simulation
-from ..core.system import make_system
-from ..sw.tiling import tile_program
-from ..workloads.registry import build_workload
+from .runner import ExperimentRunner, RunKey, replay_key
 
 #: Matrix kernels whose loops are rectangular and 8-divisible.
 WORKLOADS = ("sgemm", "ssyr2k", "ssyrk")
-#: A "desirable multiple" (2x) of the 8-line 2-D block dimension: big
-#: enough to amortize the per-tile accumulator traffic, small enough
-#: that a working tile set fits the scaled caches.
-TILE = 16
+#: (label, design, trace variant) of each point beyond the baseline.
+POINTS = (("1P2L", "1P2L", ""), ("1P2L+tiling", "1P2L", "tiled16"),
+          ("2P2L", "2P2L", ""), ("2P2L+tiling", "2P2L", "tiled16"))
 
 
 @dataclass
@@ -41,7 +42,7 @@ class FutureTilingResult:
     baseline: Dict[str, int] = field(default_factory=dict)
     cycles: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
-    VARIANTS = ("1P2L", "1P2L+tiling", "2P2L", "2P2L+tiling")
+    VARIANTS = tuple(label for label, _, _ in POINTS)
 
     def normalized_cycles(self, variant: str, workload: str) -> float:
         return normalized(self.cycles[variant][workload],
@@ -74,32 +75,41 @@ class FutureTilingResult:
         return f"{table}\n\n{verdict}"
 
 
-def run_future_tiling(workloads: Optional[List[str]] = None,
+def plan_future_tiling(workloads: Optional[List[str]] = None,
+                       size: str = "large",
+                       llc_mb: float = 1.0) -> List[RunKey]:
+    keys = []
+    for workload in workloads or WORKLOADS:
+        keys.append(RunKey("1P1L", workload, size, llc_mb, False,
+                           "default", 0))
+        for _, design, trace in POINTS:
+            keys.append(RunKey(design, workload, size, llc_mb, False,
+                               "default", 0, trace=trace))
+    return keys
+
+
+def run_future_tiling(runner: Optional[ExperimentRunner] = None,
+                      workloads: Optional[List[str]] = None,
                       size: str = "large",
                       llc_mb: float = 1.0) -> FutureTilingResult:
+    """Without a runner each point replays uncached (:func:`replay_key`)."""
+    labels = {(design, trace): label for label, design, trace in POINTS}
     result = FutureTilingResult()
-    tile_sizes = {"i": TILE, "j": TILE, "k": TILE}
-    for workload in workloads or WORKLOADS:
-        plain = build_workload(workload, size)
-        tiled = tile_program(plain, tile_sizes)
-        base = run_simulation(make_system("1P1L", llc_mb),
-                              program=plain)
-        result.baseline[workload] = base.cycles
-        points = {
-            "1P2L": ("1P2L", plain),
-            "1P2L+tiling": ("1P2L", tiled),
-            "2P2L": ("2P2L", plain),
-            "2P2L+tiling": ("2P2L", tiled),
-        }
-        for label, (design, program) in points.items():
-            run = run_simulation(make_system(design, llc_mb),
-                                 program=program)
-            result.cycles.setdefault(label, {})[workload] = run.cycles
+    for key in plan_future_tiling(workloads, size, llc_mb):
+        run = runner.run_key(key) if runner else replay_key(key)
+        label = labels.get((key.design, key.trace))
+        if label is None:
+            result.baseline[key.workload] = run.cycles
+        else:
+            result.cycles.setdefault(label, {})[key.workload] = \
+                run.cycles
     return result
 
 
-def main() -> None:
-    print(run_future_tiling().report())
+def main(argv=None) -> None:
+    from .plans import figure_runner
+    print(run_future_tiling(
+        figure_runner("future_tiling", argv)).report())
 
 
 if __name__ == "__main__":

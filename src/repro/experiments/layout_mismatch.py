@@ -16,6 +16,10 @@ layout instead behaves like software cache-blocking, so the measured
 ratio can fall *below* 1.  The experiment reports the measured ratio
 either way; the deviation and its cause are recorded rather than
 papered over.
+
+Both points are planned run keys: the matched one is Fig. 11's 1P1L
+baseline, the mismatched one replays the ``"legacy"`` trace variant
+(1-D compilation over the tiled layout).
 """
 
 from __future__ import annotations
@@ -24,10 +28,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..core.results import format_table, mean, normalized
-from ..core.simulator import run_simulation
-from ..core.system import make_system
-from ..sw.layout import TiledLayout
-from ..workloads.registry import build_workload, workload_names
+from ..workloads.registry import workload_names
+from .runner import ExperimentRunner, RunKey, replay_key
 
 
 @dataclass
@@ -54,24 +56,34 @@ class LayoutMismatchResult:
              "slowdown"), rows)
 
 
-def run_layout_mismatch(workloads: Optional[List[str]] = None,
+def plan_layout_mismatch(workloads: Optional[List[str]] = None,
+                         size: str = "large",
+                         llc_mb: float = 1.0) -> List[RunKey]:
+    keys = []
+    for workload in workloads or workload_names():
+        for trace in ("", "legacy"):
+            keys.append(RunKey("1P1L", workload, size, llc_mb, False,
+                               "default", 0, trace=trace))
+    return keys
+
+
+def run_layout_mismatch(runner: Optional[ExperimentRunner] = None,
+                        workloads: Optional[List[str]] = None,
                         size: str = "large",
                         llc_mb: float = 1.0) -> LayoutMismatchResult:
+    """Without a runner each point replays uncached (:func:`replay_key`)."""
     result = LayoutMismatchResult()
-    for workload in workloads or workload_names():
-        program = build_workload(workload, size)
-        system = make_system("1P1L", llc_mb)
-        matched = run_simulation(system, program=program)
-        result.matched[program.name] = matched.cycles
-        mismatched = run_simulation(
-            make_system("1P1L", llc_mb), program=program,
-            layout=TiledLayout(program.arrays))
-        result.mismatched[program.name] = mismatched.cycles
+    for key in plan_layout_mismatch(workloads, size, llc_mb):
+        run = runner.run_key(key) if runner else replay_key(key)
+        side = result.mismatched if key.trace else result.matched
+        side[key.workload] = run.cycles
     return result
 
 
-def main() -> None:
-    print(run_layout_mismatch().report())
+def main(argv=None) -> None:
+    from .plans import figure_runner
+    print(run_layout_mismatch(
+        figure_runner("layout_mismatch", argv)).report())
 
 
 if __name__ == "__main__":

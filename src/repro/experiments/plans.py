@@ -31,6 +31,9 @@ from ..sw.tracestore import TRACECACHE_DIRNAME
 from ..workloads.registry import workload_names
 from . import faults, fig11, fig12, fig13, fig15, fig16, fig17, \
     tier_modes
+from .dynamic_orientation import plan_dynamic_orientation
+from .future_tiling import plan_future_tiling
+from .layout_mismatch import plan_layout_mismatch
 from .runner import RUNCACHE_DIRNAME, ExperimentRunner, RunKey
 from .supervisor import RetryPolicy, RunJournal, Supervisor
 
@@ -131,9 +134,9 @@ def plan_tier_modes(workloads: Optional[List[str]] = None,
     return tier_modes.plan_tier_modes(workloads, size, llc_mb)
 
 
-#: Experiments with a precomputable run plan.  Experiments absent here
-#: (table1, fig10, layout_mismatch, ...) drive the simulator directly
-#: with bespoke systems or layouts and run sequentially as before.
+#: Experiments with a precomputable run plan: every single-core
+#: simulation the suite performs.  The rest are named in
+#: :data:`UNPLANNED`.
 PLANNERS: Dict[str, Callable[[], List[RunKey]]] = {
     "fig11": plan_fig11,
     "fig12": plan_fig12,
@@ -142,8 +145,18 @@ PLANNERS: Dict[str, Callable[[], List[RunKey]]] = {
     "fig15": plan_fig15,
     "fig16": plan_fig16,
     "fig17": plan_fig17,
+    "layout_mismatch": plan_layout_mismatch,
+    "future_tiling": plan_future_tiling,
     "energy": plan_energy,
+    "dynamic_orientation": plan_dynamic_orientation,
     "tier_modes": plan_tier_modes,
+}
+
+#: Experiments without a run plan, and why.
+UNPLANNED: Dict[str, str] = {
+    "table1": "simulates nothing",
+    "fig10": "simulates nothing",
+    "multiprogram": "runs the multicore object path",
 }
 
 

@@ -40,10 +40,12 @@ from ..core.simulator import (
     RunResult,
     configure_trace_store,
     ensure_trace,
+    hold_traces,
     merge_run_results,
     reset_trace_counters,
     run_simulation,
     trace_cache_info,
+    trace_dims,
 )
 from ..core.system import make_resident_system, make_system
 from ..sw.tracestore import TRACECACHE_DIRNAME  # noqa: F401 (re-export)
@@ -75,6 +77,13 @@ class RunKey:
     with overrides still memoize) — see
     :func:`repro.common.config.apply_overrides` for the path schema.
     The figure planners never set it; the simulation service does.
+
+    ``trace`` names the trace the point replays: ``""`` (the default)
+    is the protocol's, compiled for the system's logical
+    dimensionality over the matching layout; the other names are the
+    closed table :data:`repro.core.simulator.TRACE_VARIANTS`
+    (``"legacy"``, ``"tiled16"``).  It is the last field, so keys built
+    positionally stay valid.
     """
 
     design: str
@@ -92,6 +101,7 @@ class RunKey:
     #: default) is the classic whole-trace replay.  Incompatible with
     #: ``sample_every``.
     shards: int = 1
+    trace: str = ""
 
 
 def memory_config(variant: str) -> MemoryConfig:
@@ -127,6 +137,19 @@ def shard_plan_for(key: RunKey) -> ShardPlan:
     return ShardPlan.plan(len(trace), key.shards)
 
 
+def replay_key(key: RunKey,
+               shard: Optional[Tuple[int, int]] = None) -> RunResult:
+    """Replay ``key``'s trace on its system, or one epoch of it.
+
+    Uncached: no memo, run cache or journal.  Every execution path
+    bottoms out here, and an experiment called without a runner
+    replays its points through it directly.
+    """
+    return run_simulation(system_for_key(key), workload=key.workload,
+                          size=key.size, sample_every=key.sample_every,
+                          shard=shard, variant=key.trace)
+
+
 def simulate_run_key(key: RunKey) -> RunResult:
     """Execute one simulation point (the single source of truth).
 
@@ -135,20 +158,15 @@ def simulate_run_key(key: RunKey) -> RunResult:
     keys replay their epochs serially here and merge — the reference
     the pool execution must (and does) match bit for bit.
     """
-    system = system_for_key(key)
     if key.shards <= 1:
-        return run_simulation(system, workload=key.workload,
-                              size=key.size,
-                              sample_every=key.sample_every)
+        return replay_key(key)
     if key.sample_every:
         raise ValueError("sample_every and shards>1 are mutually "
                          "exclusive (samples are positional within "
                          "one replay)")
     plan = shard_plan_for(key)
-    parts = [run_simulation(system, workload=key.workload,
-                            size=key.size, shard=(i, key.shards))
-             for i in range(plan.shards)]
-    return merge_run_results(parts)
+    return merge_run_results([replay_key(key, (i, key.shards))
+                              for i in range(plan.shards)])
 
 
 def config_fingerprint(system: SystemConfig) -> str:
@@ -176,6 +194,9 @@ def cache_key(key: RunKey) -> str:
         # Same compatibility rule for the sharding field: unsharded
         # keys keep their pre-existing hashes.
         key_fields.pop("shards", None)
+    if not key_fields.get("trace"):
+        # ... and for the trace field: protocol-default traces too.
+        key_fields.pop("trace", None)
     payload = {
         "format": CACHE_FORMAT_VERSION,
         "key": key_fields,
@@ -328,14 +349,16 @@ class CacheInfo:
         return text
 
 
-def trace_key_for(key: RunKey) -> Tuple[str, str, int]:
-    """The ``(workload, size, logical_dims)`` trace identity of a key.
+def trace_key_for(key: RunKey) -> Tuple[str, str, int, str]:
+    """The ``(workload, size, logical_dims, variant)`` trace identity
+    of a key (the arguments of :func:`ensure_trace`).
 
-    Every design point sharing this triple replays the same packed
-    trace; the scheduler materializes each distinct triple once in the
-    parent before forking workers.
+    Every design point sharing it replays the same packed trace; the
+    scheduler materializes each distinct one once in the parent before
+    forking workers.
     """
-    return key.workload, key.size, system_for_key(key).logical_dims
+    dims = trace_dims(key.trace, system_for_key(key).logical_dims)
+    return key.workload, key.size, dims, key.trace
 
 
 def _pool_job(
@@ -357,10 +380,7 @@ def _pool_job(
         if index is None:
             result = simulate_run_key(key)
         else:
-            result = run_simulation(system_for_key(key),
-                                    workload=key.workload,
-                                    size=key.size,
-                                    shard=(index, key.shards))
+            result = replay_key(key, (index, key.shards))
     return (key, index, result, time.time() - started, os.getpid(),
             trace_cache_info())
 
@@ -404,15 +424,21 @@ class ExperimentRunner:
             llc_mb: float = 1.0, resident: bool = False,
             memory: str = "default",
             sample_every: int = 0) -> RunResult:
-        """Simulate (or recall) one point.
+        """Simulate (or recall) one point (see :meth:`run_key`)."""
+        return self.run_key(RunKey(design, workload, size, llc_mb,
+                                   resident, memory, sample_every))
 
-        Built keys inherit the runner's default shard count (sampled
-        points always replay whole-trace), so figures re-deriving a
-        prefetched plan through here land on the same memo entries.
+    def run_key(self, key: RunKey) -> RunResult:
+        """Simulate (or recall) the point ``key`` names.
+
+        An unsharded key inherits the runner's default shard count
+        (sampled points always replay whole-trace), as the planned
+        sweep's keys did, so figures re-deriving a prefetched plan
+        through here land on the same memo entries.
         """
-        key = RunKey(design, workload, size, llc_mb, resident, memory,
-                     sample_every,
-                     shards=self._shards if not sample_every else 1)
+        if self._shards > 1 and key.shards == 1 \
+                and not key.sample_every:
+            key = dataclasses.replace(key, shards=self._shards)
         cached = self._cache.get(key)
         if cached is not None:
             self._info.memory_hits += 1
@@ -462,13 +488,14 @@ class ExperimentRunner:
                 self._log(key, result, seconds=time.time() - started)
                 self._store(key, result)
             return len(pending)
-        # Materialize every distinct trace the pending points replay in
-        # the parent *before* forking, so workers inherit the packed
-        # buffers copy-on-write and the process tree generates each
-        # (workload, size, dims) trace at most once.
-        for workload, size, dims in dict.fromkeys(
-                trace_key_for(key) for key in pending):
-            ensure_trace(workload, size, dims)
+        # Every distinct trace the pending points replay stays
+        # memo-resident in the parent until the pool has forked, so
+        # workers inherit the packed buffers copy-on-write.
+        with hold_traces(trace_key_for(key) for key in pending):
+            return self._run_pool(pending, jobs)
+
+    def _run_pool(self, pending: List[RunKey], jobs: int) -> int:
+        """Simulate ``pending`` over a fork pool of ``jobs`` workers."""
         # Sharded keys fan out one pool job per epoch (the trace is
         # already materialized, so the epoch plan is a cheap length
         # computation); their parts merge in the parent as they
@@ -588,15 +615,6 @@ class ExperimentRunner:
         return self._jobs
 
     @property
-    def shards(self) -> int:
-        """Default epoch count :meth:`run` stamps on built keys.
-
-        Experiments that construct override-carrying keys by hand
-        (``run`` cannot express overrides) mirror this so their keys
-        land on the same memo entries a prefetched plan produced."""
-        return self._shards
-
-    @property
     def run_cache(self) -> Optional[RunCache]:
         return self._disk
 
@@ -617,7 +635,8 @@ class ExperimentRunner:
         if not self._verbose:
             return
         origin = "" if source == "simulated" else f" <{source}>"
-        print(f"  ran {key.design} / {key.workload} / {key.size} "
+        trace = f" [{key.trace}]" if key.trace else ""
+        print(f"  ran {key.design} / {key.workload}{trace} / {key.size} "
               f"(llc={key.llc_mb}MB mem={key.memory}"
               f"{' resident' if key.resident else ''}): "
               f"{result.cycles} cycles "

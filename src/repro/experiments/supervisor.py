@@ -57,7 +57,7 @@ from ..common.errors import (
     classify_error,
 )
 from ..common.profile_util import maybe_profile_worker
-from ..core.simulator import ensure_trace
+from ..core.simulator import hold_traces
 from . import faults
 from .runner import (
     ExperimentRunner,
@@ -469,7 +469,12 @@ class Supervisor:
             if queue:
                 if self._runner.jobs > 1 and len(queue) > 1:
                     try:
-                        self._run_pool(queue, attempts, report)
+                        # Every distinct trace stays memo-resident
+                        # until the last pool (re)fork, so workers
+                        # inherit them copy-on-write.
+                        with hold_traces(trace_key_for(key)
+                                         for _, _, key in queue):
+                            self._run_pool(queue, attempts, report)
                     except PoolBroken as exc:
                         report.degraded_serial = True
                         self._journal_event("pool_degraded",
@@ -582,12 +587,6 @@ class Supervisor:
     def _run_pool(self, queue: List[Tuple[float, str, RunKey]],
                   attempts: Dict[str, int],
                   report: SweepReport) -> None:
-        # Materialize every distinct trace in the parent before
-        # forking (same copy-on-write strategy as the unsupervised
-        # scheduler).
-        for workload, size, dims in dict.fromkeys(
-                trace_key_for(key) for _, _, key in queue):
-            ensure_trace(workload, size, dims)
         workers = min(self._runner.jobs, len(queue))
         plan = faults.active_plan()
         fault_spec = plan.spec() if plan is not None else None

@@ -22,7 +22,9 @@ from typing import Dict, List, Optional, Tuple
 from ..core.charts import bar_chart
 from ..core.results import format_table, mean, normalized
 from ..workloads.registry import workload_names
-from .runner import ExperimentRunner, RunKey, simulate_run_key
+from .runner import ExperimentRunner, RunKey
+# perfbench's tracer wraps ``tier_modes.simulate_run_key`` by name.
+from .runner import simulate_run_key  # noqa: F401
 
 #: Stacked capacity of every tier variant.  Caches here are scaled
 #: 64x down from the paper's (see DESIGN.md), so 64 KiB stands in for
@@ -130,16 +132,6 @@ class TierModesResult:
                 f"best variant: {self.best_label()}")
 
 
-def _point(runner: ExperimentRunner, key: RunKey):
-    """Recall one point, simulating in-process if it was not planned
-    (``ExperimentRunner.run`` cannot carry overrides)."""
-    result = runner.lookup(key)
-    if result is None:
-        result = simulate_run_key(key)
-        runner.record_result(key, result)
-    return result
-
-
 def run_tier_modes(runner: Optional[ExperimentRunner] = None,
                    workloads: Optional[List[str]] = None,
                    size: str = "large",
@@ -150,10 +142,8 @@ def run_tier_modes(runner: Optional[ExperimentRunner] = None,
         base = runner.run("1P1L", workload, size, llc_mb)
         result.baseline[workload] = base.cycles
         for design, label, overrides in VARIANTS:
-            shards = runner.shards
-            key = RunKey(design, workload, size, llc_mb, False,
-                         "default", 0, overrides, shards=shards)
-            run = _point(runner, key)
+            run = runner.run_key(RunKey(design, workload, size, llc_mb,
+                                        False, "default", 0, overrides))
             result.cycles.setdefault(label, {})[workload] = run.cycles
             flat = run.stats.flat()
             bucket = result.tier.setdefault(label, {})

@@ -1,10 +1,11 @@
 """Persistent on-disk store of packed traces.
 
-A trace is a pure function of ``(workload, size, logical_dims)`` under
-the protocol-default layout, so once generated it can be reused by
-every design point, every process, and every future invocation.  The
-store mirrors the run cache's durability contract
-(:class:`repro.experiments.runner.RunCache`):
+A trace is a pure function of ``(workload, size, logical_dims,
+variant)`` — the variant ``""`` being the protocol default, the others
+named in :data:`repro.core.simulator.TRACE_VARIANTS` — so once
+generated it can be reused by every design point, every process, and
+every future invocation.  The store mirrors the run cache's durability
+contract (:class:`repro.experiments.runner.RunCache`):
 
 * entries are written atomically (temp file + ``os.replace``) under an
   advisory lock on ``<root>/.lock``, so a crashed writer can never
@@ -63,14 +64,17 @@ class TraceStore:
     def root(self) -> str:
         return self._root
 
-    def path_for(self, workload: str, size: str,
-                 logical_dims: int) -> str:
-        filename = (f"{workload}-{size}-{logical_dims}d"
+    def path_for(self, workload: str, size: str, logical_dims: int,
+                 variant: str = "") -> str:
+        # Default traces keep their variant-free filenames, so entries
+        # written before variants existed stay hits.
+        suffix = f"-{variant}" if variant else ""
+        filename = (f"{workload}-{size}-{logical_dims}d{suffix}"
                     f".v{TRACE_STORE_VERSION}.mdat")
         return os.path.join(self._root, filename)
 
-    def load(self, workload: str, size: str,
-             logical_dims: int) -> Optional[Tuple[str, PackedTrace]]:
+    def load(self, workload: str, size: str, logical_dims: int,
+             variant: str = "") -> Optional[Tuple[str, PackedTrace]]:
         """``(program name, trace)``, or ``None`` on any miss.
 
         Hits are served zero-copy: the returned trace is a read-only
@@ -82,7 +86,7 @@ class TraceStore:
         truncated, or version-mismatched entry still reads as a miss
         and is quarantined, never raised.
         """
-        path = self.path_for(workload, size, logical_dims)
+        path = self.path_for(workload, size, logical_dims, variant)
         try:
             return read_packed_trace_mapped(path)
         except FileNotFoundError:
@@ -92,9 +96,9 @@ class TraceStore:
             return None
 
     def store(self, workload: str, size: str, logical_dims: int,
-              name: str, trace: PackedTrace) -> None:
+              name: str, trace: PackedTrace, variant: str = "") -> None:
         os.makedirs(self._root, exist_ok=True)
-        path = self.path_for(workload, size, logical_dims)
+        path = self.path_for(workload, size, logical_dims, variant)
         tmp = f"{path}.tmp.{os.getpid()}"
         try:
             with file_lock(lock_path_for(self._root),

@@ -161,6 +161,22 @@ class TestCacheKey:
         key = GRID[0]
         assert cache_key(key) == cache_key(key)
 
+    def test_default_key_identity_is_pinned(self):
+        # Literal identities of a default key, so run-cache and trace-
+        # store entries written before a RunKey field was added stay
+        # hits: new fields must be elided at their defaults.
+        key = RunKey("1P2L", "sobel", "small", 1.0, False, "default", 0)
+        assert cache_key(key) == "150c998e6c60098d1fc47a23d41c4938"
+        assert TraceStore("root").path_for("sobel", "small", 2) \
+            .endswith("sobel-small-2d.v1.mdat")
+
+    def test_trace_variant_changes_key(self):
+        base = GRID[0]
+        legacy = dataclasses.replace(base, trace="legacy")
+        assert cache_key(base) != cache_key(legacy)
+        assert cache_key(dataclasses.replace(base, trace="")) \
+            == cache_key(base)
+
     def test_distinct_per_run_key(self):
         seen = {cache_key(key) for key in GRID}
         assert len(seen) == len(GRID)
@@ -340,6 +356,29 @@ class TestTraceProcessTree:
             assert info["store_hits"] == 0
             assert info["store_misses"] == 0
             assert info["hits"] >= 1
+
+    def test_traces_beyond_the_memo_bound_survive_until_fork(
+            self, tmp_path, monkeypatch):
+        from repro.core import simulator
+        monkeypatch.setattr(simulator, "_TRACE_CACHE_MAX", 2)
+        clear_trace_cache()
+        runner = ExperimentRunner(jobs=2,
+                                  trace_dir=str(tmp_path / ".tracecache"))
+        distinct = len(dict.fromkeys(trace_key_for(key)
+                                     for key in GRID))
+        assert distinct > simulator._TRACE_CACHE_MAX
+        assert runner.prefetch(GRID) == len(GRID)
+        assert trace_cache_info()["generated"] == distinct
+        # Every worker replayed an inherited trace: none was evicted
+        # before the fork and re-read from the store or re-walked.
+        snapshots = runner.worker_trace_info()
+        assert snapshots, "pool workers reported no trace snapshots"
+        for info in snapshots.values():
+            assert info["generated"] == 0
+            assert info["store_hits"] == 0
+        # The bound holds again once the pool is done.
+        assert simulator._TRACE_CACHE_MAX == 2
+        assert trace_cache_info()["entries"] <= 2
 
     def test_warm_store_serves_new_process_tree(self, tmp_path):
         trace_dir = str(tmp_path / ".tracecache")

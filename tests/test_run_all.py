@@ -36,6 +36,14 @@ class TestRunAll:
                     "tier_modes"}
         assert names == expected
 
+    def test_every_experiment_is_planned_or_named_unplanned(self):
+        from repro.experiments.plans import PLANNERS, UNPLANNED
+        from repro.experiments.run_all import _experiments
+        names = set(_experiments(None))
+        assert not set(PLANNERS) & set(UNPLANNED)
+        assert set(PLANNERS) | set(UNPLANNED) == names
+        assert set(UNPLANNED) == {"table1", "fig10", "multiprogram"}
+
 
 class TestKernelCoverage:
     def test_coverage_report_classifies_every_planned_config(self):
@@ -51,6 +59,9 @@ class TestKernelCoverage:
             == "kernel"
         assert report["1P2L|mem=default|resident=0|sampled=1"] \
             == "packed"
+        # dynamic_orientation's predictor design is planned too.
+        assert report["1P2L_Dyn|mem=default|resident=0|sampled=0"] \
+            == "kernel"
 
     def test_coverage_matches_committed_baseline(self):
         """The live plan's dispatch equals the committed baseline.
@@ -74,6 +85,18 @@ class TestKernelCoverage:
         report = json.loads(out)
         assert report["1P2L|mem=default|resident=0|sampled=0"] \
             == "kernel"
+
+    def test_dry_run_summary_names_unplanned_experiments(self, capsys):
+        from repro.experiments.run_all import main
+        main(["--dry-run"])
+        captured = capsys.readouterr()
+        assert isinstance(json.loads(captured.out), dict)
+        summary = captured.err
+        assert "table1 (simulates nothing)" in summary
+        assert "fig10 (simulates nothing)" in summary
+        assert "multiprogram (runs the multicore object path)" in summary
+        main(["--dry-run", "results", "fig11"])
+        assert "unplanned: none" in capsys.readouterr().err
 
     def test_checker_passes_against_baseline(self, capsys):
         import importlib.util
