@@ -20,12 +20,6 @@ Works for both artifacts: ``BENCH_engine.json`` (replay loops) and
 ``BENCH_service.json`` (the chaos serving bench) — keys missing from
 *both* sides are simply skipped, so each job passes its own pair.
 
-On top of the per-metric baselines, one *ratio* rule is enforced
-within the current artifact alone: the 2P2L kernel replay must clear
-``KERNEL_2P2L_PACKED_RATIO`` times the packed loop on the same trace
-(the PR-7 acceptance bar).  Ratios of same-host numbers are immune to
-runner speed, so this gate is hard.
-
 Exit status: 0 = OK (possibly with warnings), 1 = regression or
 missing metric, 2 = usage / unreadable artifact.
 """
@@ -39,7 +33,6 @@ FAIL_THRESHOLD = 0.25
 #: Gated metrics: higher is better, measured in requests/second.
 THROUGHPUT_KEYS = (
     "hot_loop_requests_per_sec",
-    "packed_loop_requests_per_sec",
     "kernel_loop_requests_per_sec",
     "kernel_2p2l_requests_per_sec",
     "tier_replay_requests_per_sec",
@@ -56,10 +49,6 @@ LATENCY_KEYS = (
     "service_chaos_p99_ms",
 )
 LATENCY_FAIL_FACTOR = 4.0
-
-#: The 2P2L kernel replay must clear this multiple of the packed loop
-#: on the same trace within one artifact (the PR-7 acceptance bar).
-KERNEL_2P2L_PACKED_RATIO = 1.8
 
 
 def _load(path):
@@ -125,19 +114,6 @@ def check(baseline, current):
         else:
             print(f"  ok     {key}: {curr:,.0f} ms "
                   f"(baseline {base:,.0f} ms)")
-    k2 = current.get("kernel_2p2l_requests_per_sec")
-    p2 = current.get("kernel_2p2l_packed_requests_per_sec")
-    if isinstance(k2, (int, float)) and isinstance(p2, (int, float)) \
-            and p2 > 0:
-        ratio = k2 / p2
-        if ratio < KERNEL_2P2L_PACKED_RATIO:
-            failures.append(
-                f"2P2L kernel/packed ratio: {k2:,.0f} req/s is only "
-                f"{ratio:.2f}x the packed loop ({p2:,.0f} req/s); "
-                f"the acceptance bar is {KERNEL_2P2L_PACKED_RATIO:.1f}x")
-        else:
-            print(f"  ok     2P2L kernel/packed ratio: {ratio:.2f}x "
-                  f"(bar {KERNEL_2P2L_PACKED_RATIO:.1f}x)")
     return failures
 
 

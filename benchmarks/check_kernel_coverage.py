@@ -11,7 +11,7 @@ classification ``run_all --dry-run`` prints) and diffs it against the
 committed baseline (default:
 ``benchmarks/kernel_coverage_baseline.json``).
 
-A configuration whose engine *downgrades* — kernel to packed — fails
+A configuration whose engine *downgrades* — kernel to object — fails
 the build: a refactor quietly pushed a hot figure config off the fast
 replay path.  A baseline configuration missing from the current plan
 also fails (the plan changed; the baseline must be regenerated
@@ -27,7 +27,7 @@ import json
 import sys
 
 #: Replay engines, slowest first; a move to a lower rank is a failure.
-ENGINE_RANK = {"packed": 0, "kernel": 1}
+ENGINE_RANK = {"object": 0, "kernel": 1}
 
 DEFAULT_BASELINE = "benchmarks/kernel_coverage_baseline.json"
 

@@ -363,8 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--shards", type=int, default=1,
                        metavar="N",
                        help="split each trace into N window-aligned "
-                            "cold-cache epochs, replayed in parallel "
-                            "under --jobs and merged deterministically "
+                            "cold-cache epochs, replayed one after "
+                            "another inside the point's own job and "
+                            "merged deterministically; --jobs runs "
+                            "points, not epochs, in parallel "
                             "(default: 1)")
     exp_p.add_argument("--profile", action="store_true",
                        help="profile the run under cProfile: dump "

@@ -15,8 +15,8 @@ from typing import Dict, Iterator, List, Tuple
 
 #: Shared latency-histogram bucket scheme: one counter per power-of-two
 #: bucket, ``bucket = int(value).bit_length()`` (value 0 lands in bucket
-#: 0, 1 in bucket 1, 2-3 in bucket 2, ...).  The replay paths
-#: (``run`` / ``run_packed`` / ``run_kernel``) record per-request cycle
+#: 0, 1 in bucket 1, 2-3 in bucket 2, ...).  Both replay paths
+#: (the object loop ``run`` and ``run_kernel``) record per-request cycle
 #: latencies under these keys, and the service layer reuses the same
 #: scheme for its per-stage wall-clock histograms so every histogram in
 #: the system is bucket-compatible.

@@ -256,9 +256,9 @@ def iter_line_addrs(line_id: int) -> Iterator[int]:
 #
 # A trace is millions of requests, each of which fits comfortably in one
 # 64-bit word; storing them as ``array('Q')`` instead of a tuple of
-# frozen dataclasses cuts the memory footprint ~30x and lets the replay
-# loop (:meth:`repro.core.cpu.TraceDrivenCpu.run_packed`) decode fields
-# with two shifts and a mask instead of attribute lookups.
+# frozen dataclasses cuts the memory footprint ~30x and lets the kernel
+# (:meth:`repro.core.kernels.KernelEngine.replay`) predecode fields with
+# two shifts and a mask instead of attribute lookups.
 #
 # Word layout (LSB first):
 #

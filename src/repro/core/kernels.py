@@ -3,7 +3,7 @@
 The object model (:mod:`repro.cache`) keeps per-line state in Python
 dicts and per-set :class:`LruSet` objects, and every request crosses
 several method boundaries (``access`` -> ``_vector_read`` ->
-``_fill_line`` -> ``fetch_line`` -> ...).  Profiling the packed replay
+``_fill_line`` -> ``fetch_line`` -> ...).  Profiling the object replay
 loop shows that essentially all time is spent in those cache levels —
 the memory controller underneath is noise — so this module rebuilds the
 covered designs as **flat structure-of-arrays stores** driven by one
@@ -53,16 +53,19 @@ block's presence and dirty line masks into one 16-bit word per slot);
 and dynamic orientation prediction on a 1P2L L1 (the predictor table
 mirrored into flat arrays by :class:`_FlatPredictor`, sharing the
 object predictor's counter cells).  A physically 2-D L1 or mid-level,
-non-LRU policies, and occupancy-sampled runs stay on the reference
-``run_packed`` path (see :func:`supports`).
+non-LRU policies and a prefetching 1-D L1 replay on the object path
+(see :func:`supports`).  Occupancy-sampled runs stay on the kernel:
+:meth:`KernelEngine.replay` walks the trace in sampling-stride spans
+and answers :meth:`KernelEngine.occupancy_by_level` from the flat
+stores between them.
 """
 
 from __future__ import annotations
 
 from array import array
-from functools import lru_cache
+from functools import lru_cache, partial
 from heapq import heappop, heappush
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ..common.errors import SimulationError
 from ..common.stats import LAT_HIST_KEYS
@@ -74,7 +77,7 @@ except ImportError:  # pragma: no cover - numpy ships with the test env
     _np = None
 
 #: Module-level switch: benches and tests flip this to pin the
-#: reference ``run_packed`` path (see :func:`kernel_disabled`).
+#: object path, the reference model (see :func:`kernel_disabled`).
 KERNEL_ENABLED = True
 
 #: LRU age stamps are compacted (order-preserving) once a level's
@@ -83,9 +86,8 @@ KERNEL_ENABLED = True
 #: to force compaction on tiny traces.
 AGE_LIMIT = 1 << 46
 
-# LAT_HIST_KEYS (bucket = latency.bit_length()) is shared by run /
-# run_packed / run_kernel so the histograms are bit-comparable across
-# paths; the canonical definition lives in repro.common.stats (the
+# LAT_HIST_KEYS (bucket = latency.bit_length()) is shared by run and
+# run_kernel so the histograms are bit-comparable across paths; the canonical definition lives in repro.common.stats (the
 # service layer reuses the same scheme) and is re-exported here for
 # existing importers.
 
@@ -101,7 +103,7 @@ _COLUMN_ON_1L = ("column-preference request reached a 1P1L cache; "
 def supports(hierarchy) -> bool:
     """True when the fused kernel covers this hierarchy exactly.
 
-    Uncovered hierarchies replay through ``run_packed`` — same results,
+    Uncovered hierarchies replay on the object path — same results,
     reference speed.
     """
     if not KERNEL_ENABLED:
@@ -134,7 +136,7 @@ def supports(hierarchy) -> bool:
 
 
 class _KernelDisabled:
-    """Context manager forcing the reference ``run_packed`` path.
+    """Context manager forcing the object path (the reference model).
 
     Restores the *prior* state on exit no matter how the block ends
     (exception, assertion failure, ``pytest.fail``), so a failing bench
@@ -174,7 +176,7 @@ class _KernelDisabled:
 
 
 def kernel_disabled() -> _KernelDisabled:
-    """Force the reference ``run_packed`` path within a ``with`` block."""
+    """Force the object path within a ``with`` block."""
     return _KernelDisabled()
 
 
@@ -595,6 +597,13 @@ class _Kernel2L(_FlatStore):
             number = (line >> 4) + (line & 7)
         return (number % self.num_sets) * self.assoc
 
+    def orientation_occupancy(self):
+        """(row, column) resident lines: ``tile_count`` keys carry the
+        orientation in their low bit."""
+        cols = sum(count for key, count in self.tile_count.items()
+                   if key & 1)
+        return len(self.slot_of) - cols, cols
+
     # -- CPU-facing tails (the fused loop handles the plain hits) ------------
 
     def scalar_read_tail(self, preferred: int, other: int, now: int):
@@ -953,6 +962,10 @@ class _Kernel1L(_FlatStore):
         return ((((line >> 4) << 3) | (line & 7)) % self.num_sets) \
             * self.assoc
 
+    def orientation_occupancy(self):
+        """(row, column) resident lines; a 1-D level holds rows only."""
+        return len(self.slot_of), 0
+
     # -- CPU-facing ----------------------------------------------------------
 
     def get_line_miss(self, line: int, now: int, width,
@@ -1169,7 +1182,7 @@ class _Kernel2P2L(_FlatStore):
     ``dirty`` drives per-line writeback accounting on eviction.
     Covered only as the last level, so only the inter-level protocol
     (``fetch_line`` / ``writeback_line``) is mirrored; the Design 3
-    ``access`` path stays on the reference engines.
+    ``access`` path stays on the object path.
     """
 
     __slots__ = (
@@ -1195,6 +1208,16 @@ class _Kernel2P2L(_FlatStore):
         self.c_writebacks_out = stats.counter("writebacks_out")
         self.c_dense_fill_lines = stats.counter("dense_fill_lines")
         self.c_evictions = stats.counter("evictions")
+
+    def orientation_occupancy(self):
+        """(row, column) present lines over the valid blocks' words."""
+        present = self.present
+        rows = cols = 0
+        for slot in self.slot_of.values():
+            word = present[slot]
+            rows += (word & 0xFF).bit_count()
+            cols += (word >> 8).bit_count()
+        return rows, cols
 
     # -- inter-level protocol ------------------------------------------------
 
@@ -1395,44 +1418,85 @@ class KernelEngine:
         self.l1_predictor = _FlatPredictor(predictor) \
             if predictor is not None else None
 
-    def replay(self, trace, cpu_config, cpu_group) -> int:
-        """Drive a packed trace through the kernel; returns cycles."""
-        if isinstance(self.levels[0], _Kernel2L):
-            if self.l1_predictor is not None:
-                return _replay_2l_dyn(self, trace, cpu_config,
-                                      cpu_group)
-            return _replay_2l(self, trace, cpu_config, cpu_group)
-        return _replay_1l(self, trace, cpu_config, cpu_group)
+    def occupancy_by_level(self) -> Dict[str, Tuple[int, int]]:
+        """(row, column) line occupancy per level, read from the flat
+        stores (``CacheHierarchy.occupancy_by_level``'s mirror)."""
+        return {store.cfg.name: store.orientation_occupancy()
+                for store in self.levels}
+
+    def replay(self, trace, cpu_config, cpu_group, sampler=None,
+               sample_every: int = 0) -> int:
+        """Drive a packed trace through the kernel; returns cycles.
+
+        Predecodes the trace once and replays it on one carried
+        :class:`_SpanState`: as a single span, or, with a ``sampler``
+        and ``sample_every > 0``, as spans ``[k*every, (k+1)*every)``
+        with ``sampler(ops, now)`` called after each full span — the
+        point where the object path's per-request check fires.  Then
+        drains the outstanding window, runs the hierarchy's
+        posted-write horizon, and folds the carried counters into the
+        shared cells.
+        """
+        l1 = self.levels[0]
+        words = trace.words
+        if isinstance(l1, _Kernel2L):
+            packed, demand = _predecode_2l(words)
+            if self.l1_predictor is None:
+                span = _replay_2l_span
+            else:
+                span = partial(_replay_2l_dyn_span,
+                               refs=_predecode_refs(words))
+        else:
+            packed, demand = _predecode_1l(words)
+            span = _replay_1l_span
+        total = len(packed)
+        sampling = sampler is not None and sample_every > 0
+        step = sample_every if sampling else max(total, 1)
+        state = _SpanState()
+        for start in range(0, total, step):
+            stop = min(start + step, total)
+            span(self, packed, start, stop, cpu_config, state)
+            if sampling and stop % step == 0:
+                sampler(stop, state.now)
+        now = state.now
+        window = state.window
+        while window:
+            earliest = heappop(window)
+            if earliest > now:
+                now = earliest
+        horizon = self.hierarchy.finish(now)
+        if horizon > now:
+            now = horizon
+        _flush_shared(cpu_group, l1, total, now, state, demand)
+        return now
 
 
-def _flush_shared(cpu_group, l1, ops, now, stalled, tracked,
-                  hits, misses, probes, demand, hist) -> None:
-    """Fold the loop-local accumulators into the shared stat cells."""
+def _flush_shared(cpu_group, l1, ops, now, state, demand) -> None:
+    """Fold the carried accumulators into the shared stat cells."""
     cpu_group.set("ops", ops)
     cpu_group.set("cycles", now)
-    cpu_group.set("stall_cycles", stalled)
-    cpu_group.counter("read_misses_tracked").value += tracked
-    l1.c_hits.value += hits
-    l1.c_misses.value += misses
-    l1.c_tag_probes.value += probes
+    cpu_group.set("stall_cycles", state.stalled)
+    cpu_group.counter("read_misses_tracked").value += state.n_tracked
+    l1.c_hits.value += state.n_hits
+    l1.c_misses.value += state.n_misses
+    l1.c_tag_probes.value += state.n_probes
     cells = l1.demand_cells
     for index, count in enumerate(demand):
         if count:
             for cell in cells[index]:
                 cell.value += count
-    for bucket, count in enumerate(hist):
+    for bucket, count in enumerate(state.hist):
         if count:
             cpu_group.set(LAT_HIST_KEYS[bucket], count)
 
 
-class _Span2L:
-    """Carried state of a ranged fused 2-D replay.
+class _SpanState:
+    """Carried state of one ranged fused replay.
 
     One instance spans one logical replay: the clock, the cumulative
     stall cycles, the outstanding-read heap, the latency histogram,
     and the loop-local counters :func:`_flush_shared` folds at the
-    end.  :func:`_replay_2l` and :func:`_replay_1l` thread one
-    instance through a single full-trace span.
+    end.  :meth:`KernelEngine.replay` threads it through every span.
     """
 
     __slots__ = ("now", "stalled", "window", "hist", "n_hits",
@@ -1449,33 +1513,6 @@ class _Span2L:
         self.n_tracked = 0
 
 
-def _replay_2l(engine: KernelEngine, trace, cpu_config,
-               cpu_group) -> int:
-    """Fused replay over a logically 2-D (1P2L) L1.
-
-    Predecodes, replays the whole trace as one span, then drains the
-    outstanding window, runs the hierarchy's posted-write horizon, and
-    folds the carried counters into the shared cells.
-    """
-    l1 = engine.levels[0]
-    packed, demand = _predecode_2l(trace.words)
-    state = _Span2L()
-    _replay_2l_span(engine, packed, 0, len(packed), cpu_config, state)
-    now = state.now
-    window = state.window
-    while window:
-        earliest = heappop(window)
-        if earliest > now:
-            now = earliest
-    horizon = engine.hierarchy.finish(now)
-    if horizon > now:
-        now = horizon
-    _flush_shared(cpu_group, l1, len(trace), now, state.stalled,
-                  state.n_tracked, state.n_hits, state.n_misses,
-                  state.n_probes, demand, state.hist)
-    return now
-
-
 def _replay_2l_span(engine: KernelEngine, packed, start, stop,
                     cpu_config, state) -> None:
     """Replay predecoded requests ``[start, stop)``, carrying ``state``.
@@ -1483,10 +1520,13 @@ def _replay_2l_span(engine: KernelEngine, packed, start, stop,
     One function, local-variable bindings only: the four request modes
     dispatch on two packed-word bits, the plain-hit cases complete
     inline against the flat stores, and only misses and duplicate-copy
-    cases drop into the (still flat) slow-path methods.  The shared
-    counter cells are exact after every call (the span-local
-    accumulators fold on exit), so spans interleave freely with other
-    exact replay steps against the same engine.
+    cases drop into the (still flat) slow-path methods.  The cache
+    state and the fill-path counter cells are exact after every call
+    (the inlined-fill accumulators fold on exit), but the L1
+    hit/miss/probe counts, tracked misses and latency histogram ride
+    in ``state`` and, like the demand counts, reach the shared cells
+    only in :func:`_flush_shared` — so a sampler between spans reads
+    occupancy, not those counters.
     """
     l1 = engine.levels[0]
     now = state.now
@@ -1809,9 +1849,9 @@ def _replay_2l_span(engine: KernelEngine, packed, start, stop,
     state.n_tracked += n_tracked
 
 
-def _replay_2l_dyn(engine: KernelEngine, trace, cpu_config,
-                   cpu_group) -> int:
-    """Fused replay over a dynamic-orientation (1P2L) L1.
+def _replay_2l_dyn_span(engine: KernelEngine, packed, start, stop,
+                        cpu_config, state, refs) -> None:
+    """Replay ``[start, stop)`` over a dynamic-orientation (1P2L) L1.
 
     The object path consults the predictor on *every* scalar access —
     hit or miss, before any probe — so the loop trains the flat
@@ -1822,15 +1862,16 @@ def _replay_2l_dyn(engine: KernelEngine, trace, cpu_config,
     predictor and misses drop into the exact (still flat) tail
     methods.  Demand accounting keeps each request's *static*
     attributes: the object path counts demand before predicting.
+    ``refs`` holds the requests' static reference ids, index-aligned
+    with ``packed``; ``state`` carries across spans as in
+    :func:`_replay_2l_span`.
     """
     l1 = engine.levels[0]
     observe = engine.l1_predictor.observe
-    packed, demand = _predecode_2l(trace.words)
-    refs = _predecode_refs(trace.words)
-    now = 0
-    stalled = 0
-    window: List[int] = []
-    hist = [0] * len(LAT_HIST_KEYS)
+    now = state.now
+    stalled = state.stalled
+    window = state.window
+    hist = state.hist
     window_size = cpu_config.mlp_window
     issue_cost = cpu_config.cycles_per_op
     cfg = l1.cfg
@@ -1856,7 +1897,11 @@ def _replay_2l_dyn(engine: KernelEngine, trace, cpu_config,
     vector_write_tail = l1.vector_write_tail
     lvl1 = l1.level_index
     n_hits = n_misses = n_probes = n_tracked = 0
-    for p, ref in zip(packed, refs):
+    if start == 0 and stop >= len(packed):
+        span = zip(packed, refs)
+    else:
+        span = zip(packed[start:stop], refs[start:stop])
+    for p, ref in span:
         line = p >> 7
         mode = (p >> 4) & 3  # is_write | width << 1
         now += issue_cost
@@ -1998,43 +2043,12 @@ def _replay_2l_dyn(engine: KernelEngine, trace, cpu_config,
                 else:
                     n_misses += 1
                 hist[(completion - now).bit_length()] += 1
-    while window:
-        earliest = heappop(window)
-        if earliest > now:
-            now = earliest
-    horizon = engine.hierarchy.finish(now)
-    if horizon > now:
-        now = horizon
-    _flush_shared(cpu_group, l1, len(trace), now, stalled, n_tracked,
-                  n_hits, n_misses, n_probes, demand, hist)
-    return now
-
-
-def _replay_1l(engine: KernelEngine, trace, cpu_config,
-               cpu_group) -> int:
-    """Fused replay over a conventional (1P1L) L1.
-
-    Predecodes, replays the whole trace as one span, then drains the
-    outstanding window, runs the hierarchy's posted-write horizon, and
-    folds the carried counters into the shared cells.
-    """
-    l1 = engine.levels[0]
-    packed, demand = _predecode_1l(trace.words)
-    state = _Span2L()
-    _replay_1l_span(engine, packed, 0, len(packed), cpu_config, state)
-    now = state.now
-    window = state.window
-    while window:
-        earliest = heappop(window)
-        if earliest > now:
-            now = earliest
-    horizon = engine.hierarchy.finish(now)
-    if horizon > now:
-        now = horizon
-    _flush_shared(cpu_group, l1, len(trace), now, state.stalled,
-                  state.n_tracked, state.n_hits, state.n_misses,
-                  state.n_probes, demand, state.hist)
-    return now
+    state.now = now
+    state.stalled = stalled
+    state.n_hits += n_hits
+    state.n_misses += n_misses
+    state.n_probes += n_probes
+    state.n_tracked += n_tracked
 
 
 def _replay_1l_span(engine: KernelEngine, packed, start, stop,

@@ -400,14 +400,13 @@ def run_simulation(system: SystemConfig,
         trace = _generate(program, logical_dims, layout)
     stats = StatRegistry()
     hierarchy = CacheHierarchy(system, stats, replacement)
+    cpu = TraceDrivenCpu(system.cpu, hierarchy, stats)
     samples: List[OccupancySample] = []
 
     def sampler(ops: int, now: int) -> None:
         samples.append(OccupancySample(
-            ops=ops, cycles=now,
-            by_level=hierarchy.occupancy_by_level()))
+            ops=ops, cycles=now, by_level=cpu.occupancy_by_level()))
 
-    cpu = TraceDrivenCpu(system.cpu, hierarchy, stats)
     cycles = cpu.run(trace,
                      sampler=sampler if sample_every else None,
                      sample_every=sample_every)

@@ -210,11 +210,12 @@ def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--shards", type=int, default=1,
                         metavar="N",
                         help="split each trace into N window-aligned "
-                             "cold-cache epochs, replayed in parallel "
-                             "under --jobs and merged "
-                             "deterministically (default: 1 = "
-                             "whole-trace replay; sampled runs always "
-                             "replay whole)")
+                             "cold-cache epochs, replayed one after "
+                             "another inside the point's own job and "
+                             "merged deterministically; --jobs runs "
+                             "points, not epochs, in parallel "
+                             "(default: 1 = whole-trace replay; "
+                             "sampled runs always replay whole)")
     parser.add_argument("--profile", action="store_true",
                         help="profile the sweep under cProfile: dump "
                              "OUTDIR/profile.pstats and print the top "

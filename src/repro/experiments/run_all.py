@@ -129,16 +129,13 @@ def dispatch_for_key(key: RunKey) -> str:
     """Which replay engine one planned point dispatches to.
 
     Mirrors :meth:`TraceDrivenCpu.run` without materializing the
-    trace: sampled points replay on the packed interpreter (the
-    sampler needs per-op callbacks), everything else asks
-    :func:`repro.core.kernels.supports` against the point's real
-    hierarchy.  Returns ``"kernel"`` or ``"packed"``.
+    trace: :func:`repro.core.kernels.supports` against the point's
+    real hierarchy decides, sampled or not.  Returns ``"kernel"`` or
+    ``"object"``.
     """
-    if key.sample_every:
-        return "packed"
     hierarchy = CacheHierarchy(system_for_key(key), StatRegistry(),
                                "lru")
-    return "kernel" if kernels.supports(hierarchy) else "packed"
+    return "kernel" if kernels.supports(hierarchy) else "object"
 
 
 def coverage_report(names: Optional[Tuple[str, ...]] = None) \
@@ -206,7 +203,8 @@ def run_all(outdir: str = "results",
             :mod:`repro.experiments.faults`); ``None`` leaves the
             ``REPRO_FAULTS`` environment arming untouched.
         shards: replay each unsampled trace as this many window-aligned
-            cold-cache epochs, parallel under ``jobs`` and merged
+            cold-cache epochs, one after another inside the point's
+            own job (``jobs`` parallelizes points, not epochs), merged
             deterministically (see :class:`RunKey`); 1 keeps the
             classic whole-trace replay.
 
@@ -316,12 +314,14 @@ def main(argv: Optional[List[str]] = None) -> None:
     parser.add_argument("--shards", type=int, default=1,
                         metavar="N",
                         help="split each trace into N window-aligned "
-                             "cold-cache epochs, replayed in parallel "
-                             "under --jobs and merged "
-                             "deterministically (default: 1)")
+                             "cold-cache epochs, replayed one after "
+                             "another inside the point's own job and "
+                             "merged deterministically; --jobs runs "
+                             "points, not epochs, in parallel "
+                             "(default: 1)")
     parser.add_argument("--dry-run", action="store_true",
                         help="simulate nothing: print the replay-"
-                             "engine dispatch (kernel/packed) "
+                             "engine dispatch (kernel/object) "
                              "of every planned figure configuration "
                              "as JSON and exit")
     args = parser.parse_args(argv)

@@ -4,17 +4,19 @@ Covers the fused flat-store replay path: coverage dispatch
 (:func:`repro.core.kernels.supports` and the ``kernel_disabled`` pin;
 ``run`` choosing the kernel at every trace length is in
 tests/test_vector.py with the retired engine's cases), three-way
-bit-identity between the object path, ``run_packed``, and
-``run_kernel`` — on registry workloads and on synthetic edge-case
-traces (full-hit and single-row runs, LRU stamp saturation, saturated
-sets, a miss-heavy small-L1 hierarchy, cold-cache sharded epochs),
-including the 2P2L family (dense and sparse block fill, duplicate-copy
-coherence) and dynamic orientation prediction — explicit-program runs
-(custom layout, tiling, legacy compilation) against the object path,
-the flat-store replacement edge cases (LRU age saturation and
-compaction, eviction tie-breaking, orientation-bit preservation across
-evictions in same-set mode), the packed presence/dirty block-word
-round-trips, and the numpy / pure-Python predecode equivalence.
+bit-identity between the object path over request objects, the object
+path over the packed trace, and ``run_kernel`` — on registry workloads
+and on synthetic edge-case traces (full-hit and single-row runs, LRU
+stamp saturation, saturated sets, a miss-heavy small-L1 hierarchy,
+cold-cache sharded epochs), including the 2P2L family (dense and
+sparse block fill, duplicate-copy coherence) and dynamic orientation
+prediction — occupancy-sampled runs (samples, cycles and stats) on
+every covered design, explicit-program runs (custom layout, tiling,
+legacy compilation) against the object path, the flat-store
+replacement edge cases (LRU age saturation and compaction, eviction
+tie-breaking, orientation-bit preservation across evictions in
+same-set mode), the packed presence/dirty block-word round-trips, and
+the numpy / pure-Python predecode equivalence.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from repro.common.types import (
 from repro.core import kernels
 from repro.core.cpu import TraceDrivenCpu
 from repro.core.simulator import (
+    OccupancySample,
     run_simulation,
     run_trace,
     trace_cache_info,
@@ -59,7 +62,7 @@ except ImportError:  # pragma: no cover - hypothesis ships with the env
 
 #: Designs the fused kernel covers (a physically 1-D L1, optionally a
 #: 2P2L last level and dynamic orientation, LRU) and the ones that must
-#: fall back to run_packed (a physically 2-D L1 needs per-request
+#: replay on the object path (a physically 2-D L1 needs per-request
 #: block-state bookkeeping the flat stores do not model at L1).
 COVERED = ("1P1L", "1P2L", "1P2L_SameSet", "1P2L_Dyn", "2P2L",
            "2P2L_Dense", "2P2L_SlowWrite")
@@ -128,10 +131,17 @@ class TestSupports:
         del cm
         assert kernels.KERNEL_ENABLED
 
-    def test_sampler_falls_back_to_packed(self):
-        # Occupancy sampling needs per-request callbacks the fused
-        # loop elides; cpu.run must route sampled runs to run_packed
-        # (observable: the kernel path never invokes the sampler).
+    def test_sampled_run_replays_on_kernel(self, monkeypatch):
+        # cpu.run hands a sampled packed trace to run_kernel, which
+        # calls the sampler between stride-long spans.
+        calls = []
+        original = TraceDrivenCpu.run_kernel
+
+        def spy(self, *args):
+            calls.append(args[1:])
+            return original(self, *args)
+
+        monkeypatch.setattr(TraceDrivenCpu, "run_kernel", spy)
         system = make_system("1P2L", 1.0)
         packed = generate_packed_trace(build_workload("sobel", "small"),
                                        system.logical_dims)
@@ -141,7 +151,8 @@ class TestSupports:
         samples = []
         cpu.run(packed, sampler=lambda ops, now: samples.append(ops),
                 sample_every=256)
-        assert samples
+        assert len(calls) == 1 and calls[0][1] == 256
+        assert samples == list(range(256, len(packed) + 1, 256))
 
 
 def _row_vector(tile, row):
@@ -228,12 +239,88 @@ IDENTITY_CASES = [
 ]
 
 
+#: Occupancy-sampling strides: one leaving a partial last span on
+#: sgemm's small trace, every op of a short synthetic trace, and one
+#: longer than any small trace (no samples at all).
+SAMPLING_STRIDES = [
+    pytest.param(1000, id="partial-last-span"),
+    pytest.param(1, id="every-op"),
+    pytest.param(1 << 20, id="longer-than-trace"),
+]
+
+
+def _short_mixed_trace(dims):
+    """200 requests over 24 tiles: scalar and vector reads and writes
+    under four static refs, alternating row and column on a 2-D
+    design."""
+    orients = (Orientation.ROW, Orientation.COLUMN)[:dims]
+    reqs = []
+    for i in range(200):
+        orient = orients[i % dims]
+        tile, r, c = (i * 7) % 24, (i >> 1) & 7, (i * 3) & 7
+        if i % 3 == 0:  # a whole line: row r or column c
+            width = AccessWidth.VECTOR
+            addr = _word(r, 0, tile) if orient is Orientation.ROW \
+                else _word(0, c, tile)
+        else:
+            width, addr = AccessWidth.SCALAR, _word(r, c, tile)
+        reqs.append(Request(addr=addr, orientation=orient, width=width,
+                            is_write=i % 5 == 0, ref_id=i % 4))
+    return reqs
+
+
+def _sampled_run(design, stride, requests=None):
+    """Cycles, flat stats and occupancy samples of a sampled replay:
+    sgemm small through ``run_simulation``, or ``requests`` packed and
+    sampled the way ``run_simulation`` wires its sampler."""
+    system = make_system(design, 1.0)
+    if requests is None:
+        result = run_simulation(system, workload="sgemm", size="small",
+                                sample_every=stride)
+        return result.cycles, result.stats.flat(), result.samples
+    stats = StatRegistry()
+    cpu = TraceDrivenCpu(system.cpu, CacheHierarchy(system, stats),
+                         stats)
+    samples = []
+
+    def sampler(ops, now):
+        samples.append(OccupancySample(ops, now,
+                                       cpu.occupancy_by_level()))
+
+    cycles = cpu.run(PackedTrace.from_requests(requests),
+                     sampler=sampler, sample_every=stride)
+    return cycles, stats.flat(), samples
+
+
 class TestKernelParity:
+    @pytest.mark.parametrize("stride", SAMPLING_STRIDES)
+    @pytest.mark.parametrize("design", COVERED)
+    def test_sampled_bit_identity(self, design, stride):
+        """A sampled kernel replay equals the object path
+        (``kernel_disabled``) in cycles, flat stats and every
+        occupancy sample: ops, cycles, per-level counts and level
+        order."""
+        dims = make_system(design, 1.0).logical_dims
+        requests = _short_mixed_trace(dims) if stride == 1 else None
+        via_kernel = _sampled_run(design, stride, requests)
+        with kernels.kernel_disabled():
+            oracle = _sampled_run(design, stride, requests)
+        assert via_kernel == oracle
+        samples = via_kernel[2]
+        assert [list(s.by_level) for s in samples] \
+            == [list(s.by_level) for s in oracle[2]]
+        ops = oracle[1]["cpu.ops"]
+        assert [s.ops for s in samples] \
+            == list(range(stride, ops + 1, stride))
+        if stride == 1000:
+            assert ops % stride, "the last span must be partial"
+
     @pytest.mark.parametrize("design,workload", IDENTITY_CASES)
     def test_three_way_bit_identity(self, design, workload,
                                     monkeypatch):
-        """Object path, run_packed, and run_kernel agree exactly, on
-        registry workloads and on synthetic edge-case traces."""
+        """The object path over request objects, the object path over
+        the packed trace, and run_kernel agree exactly, on registry
+        workloads and on synthetic edge-case traces."""
         if workload in EDGE_CASES:
             _, build, age_limit = EDGE_CASES[workload]
             if age_limit is not None:

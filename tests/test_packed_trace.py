@@ -3,8 +3,10 @@
 Covers the ISSUE acceptance criteria: the 64-bit packed encoding
 round-trips every representable request (property-based), the packed
 file format and persistent trace store are durable (corrupt reads are
-misses, writes are atomic), ``run_packed`` replay is bit-identical to
-the object path across every design x workload pair, and a cold
+misses, writes are atomic), packed-trace replay (on the kernel, or on
+the object path where the kernel does not cover the design) is
+bit-identical to request-object replay across every design x workload
+pair, and a cold
 parallel sweep generates each distinct trace at most once per process
 tree.
 """

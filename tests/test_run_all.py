@@ -50,15 +50,15 @@ class TestKernelCoverage:
         from repro.experiments.run_all import coverage_report
         report = coverage_report()
         assert report, "figure plans must yield configurations"
-        assert set(report.values()) <= {"kernel", "packed"}
-        # Flagship and baseline designs both replay on the kernel;
-        # sampled points stay on the interpreter.
+        assert set(report.values()) <= {"kernel", "object"}
+        # Flagship and baseline designs both replay on the kernel, and
+        # so do sampled points.
         assert report["1P2L|mem=default|resident=0|sampled=0"] \
             == "kernel"
         assert report["1P1L|mem=default|resident=0|sampled=0"] \
             == "kernel"
         assert report["1P2L|mem=default|resident=0|sampled=1"] \
-            == "packed"
+            == "kernel"
         # dynamic_orientation's predictor design is planned too.
         assert report["1P2L_Dyn|mem=default|resident=0|sampled=0"] \
             == "kernel"
@@ -117,10 +117,10 @@ class TestKernelCoverage:
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         baseline = {"cfg": "kernel", "gone": "kernel"}
-        current = {"cfg": "packed", "other": "kernel"}
+        current = {"cfg": "object", "other": "kernel"}
         failures = module.check(baseline, current)
         assert len(failures) == 2
-        assert any("now packed" in f for f in failures)
+        assert any("now object" in f for f in failures)
         assert any("no longer planned" in f for f in failures)
         # Upgrades and new configs pass.
-        assert module.check({"cfg": "packed"}, {"cfg": "kernel"}) == []
+        assert module.check({"cfg": "object"}, {"cfg": "kernel"}) == []

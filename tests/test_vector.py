@@ -37,8 +37,8 @@ from repro.sw.tracegen import generate_packed_trace, generate_trace
 from repro.workloads.registry import build_workload
 
 #: Designs the vector engine covered, the kernel-only design it
-#: refused (dynamic orientation), and the design neither fast path
-#: covers (a physically 2-D L1).
+#: refused (dynamic orientation), and the design the kernel does not
+#: cover (a physically 2-D L1), which replays on the object path.
 COVERED = ("1P1L", "1P2L", "1P2L_SameSet", "2P2L", "2P2L_Dense",
            "2P2L_SlowWrite")
 KERNEL_ONLY = ("1P2L_Dyn",)
@@ -135,13 +135,14 @@ class TestSupports:
         # access in program order: the kernel's in-order predictor
         # loop replays it.
         calls = []
-        original = kernels._replay_2l_dyn
+        original = kernels._replay_2l_dyn_span
 
-        def counting(*args):
-            calls.append(len(args[1]))
-            return original(*args)
+        def counting(engine, packed, start, stop, *args, **kwargs):
+            calls.append(stop - start)
+            return original(engine, packed, start, stop, *args,
+                            **kwargs)
 
-        monkeypatch.setattr(kernels, "_replay_2l_dyn", counting)
+        monkeypatch.setattr(kernels, "_replay_2l_dyn_span", counting)
         cpu, _ = _cpu(make_system(design, 1.0))
         cpu.run(PackedTrace.from_requests(_hot_trace(64)))
         assert engines == ["run_kernel"]
@@ -149,9 +150,10 @@ class TestSupports:
 
     @pytest.mark.parametrize("design", UNCOVERED)
     def test_kernel_uncovered_designs_fall_back(self, design, engines):
+        # The object loop inside ``run`` replays it: no engine method.
         cpu, _ = _cpu(make_system(design, 1.0))
         cpu.run(PackedTrace.from_requests(_hot_trace(64)))
-        assert engines == ["run_packed"]
+        assert engines == []
 
     def test_numpy_absent_falls_back(self, engines, monkeypatch):
         """Without numpy the kernel predecodes in pure Python; the
@@ -237,9 +239,9 @@ class TestVectorParity:
         calls = []
         original = kernels.KernelEngine.replay
 
-        def counting(self, trace, cpu_config, cpu_group):
+        def counting(self, trace, *args):
             calls.append(len(trace))
-            return original(self, trace, cpu_config, cpu_group)
+            return original(self, trace, *args)
 
         monkeypatch.setattr(kernels.KernelEngine, "replay", counting)
         system = make_system("1P2L", 1.0)
