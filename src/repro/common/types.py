@@ -144,6 +144,13 @@ _LINE_TILE_SHIFT = 4
 _ORIENT_MEMBERS = (Orientation.ROW, Orientation.COLUMN)
 
 
+#: Bits of a global word index (``addr >> 3``) that pick a word within
+#: its oriented line: the column (bits 0-2) of a row line, the row
+#: (bits 3-5) of a column line.  Two words share a line of that
+#: orientation exactly when their indices differ only in these bits.
+LINE_WORD_BITS = {Orientation.ROW: 0x07, Orientation.COLUMN: 0x38}
+
+
 def line_id_of(addr: int, orientation: Orientation) -> int:
     """Oriented line id containing byte address ``addr``."""
     word = (addr & (TILE_BYTES - 1)) >> _WORD_SHIFT
@@ -273,9 +280,10 @@ def iter_line_addrs(line_id: int) -> Iterator[int]:
 
 PACKED_REF_BITS = 16
 PACKED_REF_LIMIT = 1 << PACKED_REF_BITS
-_PACKED_ADDR_SHIFT = 3 + PACKED_REF_BITS  # 19
+#: Bit position of the word address (``addr >> 3``) in a packed word.
+PACKED_ADDR_SHIFT = 3 + PACKED_REF_BITS  # 19
 #: Largest encodable byte address (45 address bits above the word shift).
-PACKED_ADDR_LIMIT = 1 << (64 - _PACKED_ADDR_SHIFT + _WORD_SHIFT)
+PACKED_ADDR_LIMIT = 1 << (64 - PACKED_ADDR_SHIFT + _WORD_SHIFT)
 
 _WIDTH_MEMBERS = (AccessWidth.SCALAR, AccessWidth.VECTOR)
 
@@ -296,15 +304,22 @@ def pack_request(req: Request) -> int:
     if not 0 <= ref_id < PACKED_REF_LIMIT:
         raise ValueError(
             f"ref_id {ref_id} does not fit in {PACKED_REF_BITS} bits")
-    return ((addr >> _WORD_SHIFT) << _PACKED_ADDR_SHIFT) \
-        | (req.orientation << 18) | (req.width << 17) \
-        | (bool(req.is_write) << 16) | ref_id
+    return ((addr >> _WORD_SHIFT) << PACKED_ADDR_SHIFT) \
+        | packed_flags(req.orientation, req.width, req.is_write, ref_id)
+
+
+def packed_flags(orientation: Orientation, width: AccessWidth,
+                 is_write: bool, ref_id: int) -> int:
+    """Bits 0-18 of a packed word: every field but the address
+    (``ref_id`` unchecked; :func:`pack_request` checks it)."""
+    return (orientation << 18) | (width << 17) | (bool(is_write) << 16) \
+        | ref_id
 
 
 def unpack_request(word: int) -> Request:
     """Decode one packed-trace word back into a :class:`Request`."""
     return Request(
-        addr=(word >> _PACKED_ADDR_SHIFT) << _WORD_SHIFT,
+        addr=(word >> PACKED_ADDR_SHIFT) << _WORD_SHIFT,
         orientation=_ORIENT_MEMBERS[(word >> 18) & 1],
         width=_WIDTH_MEMBERS[(word >> 17) & 1],
         is_write=bool(word & (1 << 16)),

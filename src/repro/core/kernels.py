@@ -1432,15 +1432,19 @@ class KernelEngine:
         :class:`_SpanState`: as a single span, or, with a ``sampler``
         and ``sample_every > 0``, as spans ``[k*every, (k+1)*every)``
         with ``sampler(ops, now)`` called after each full span — the
-        point where the object path's per-request check fires.  Then
-        drains the outstanding window, runs the hierarchy's
-        posted-write horizon, and folds the carried counters into the
-        shared cells.
+        point where the object path's per-request check fires.  The
+        L1 hit, miss, probe, tracked-miss and demand counters reach
+        the shared cells after every span, so a sampler reads them as
+        the object path leaves them; an unsampled replay is one span
+        and folds them once.  Then drains the outstanding window, runs
+        the hierarchy's posted-write horizon, and sets the end-only
+        cells (ops, cycles, stall cycles, latency histogram).
         """
         l1 = self.levels[0]
         words = trace.words
         if isinstance(l1, _Kernel2L):
             packed, demand = _predecode_2l(words)
+            demand_shift = 4
             if self.l1_predictor is None:
                 span = _replay_2l_span
             else:
@@ -1448,6 +1452,7 @@ class KernelEngine:
                                refs=_predecode_refs(words))
         else:
             packed, demand = _predecode_1l(words)
+            demand_shift = 3
             span = _replay_1l_span
         total = len(packed)
         sampling = sampler is not None and sample_every > 0
@@ -1456,8 +1461,13 @@ class KernelEngine:
         for start in range(0, total, step):
             stop = min(start + step, total)
             span(self, packed, start, stop, cpu_config, state)
-            if sampling and stop % step == 0:
-                sampler(stop, state.now)
+            if sampling:
+                _flush_span(cpu_group, l1, state, _span_demand(
+                    packed, start, stop, demand_shift, len(demand)))
+                if stop % step == 0:
+                    sampler(stop, state.now)
+        if not sampling:
+            _flush_span(cpu_group, l1, state, demand)
         now = state.now
         window = state.window
         while window:
@@ -1467,27 +1477,38 @@ class KernelEngine:
         horizon = self.hierarchy.finish(now)
         if horizon > now:
             now = horizon
-        _flush_shared(cpu_group, l1, total, now, state, demand)
+        cpu_group.set("ops", total)
+        cpu_group.set("cycles", now)
+        cpu_group.set("stall_cycles", state.stalled)
+        for bucket, count in enumerate(state.hist):
+            if count:
+                cpu_group.set(LAT_HIST_KEYS[bucket], count)
         return now
 
 
-def _flush_shared(cpu_group, l1, ops, now, state, demand) -> None:
-    """Fold the carried accumulators into the shared stat cells."""
-    cpu_group.set("ops", ops)
-    cpu_group.set("cycles", now)
-    cpu_group.set("stall_cycles", state.stalled)
+def _span_demand(packed, start, stop, shift, bins) -> List[int]:
+    """The demand histogram of predecoded requests ``[start, stop)``:
+    the demand index sits ``shift`` bits up in each packed int."""
+    demand = [0] * bins
+    mask = bins - 1
+    for request in packed[start:stop]:
+        demand[(request >> shift) & mask] += 1
+    return demand
+
+
+def _flush_span(cpu_group, l1, state, demand) -> None:
+    """Fold one span's L1 counters, tracked misses and ``demand`` into
+    the shared cells, and zero the carried counters."""
     cpu_group.counter("read_misses_tracked").value += state.n_tracked
     l1.c_hits.value += state.n_hits
     l1.c_misses.value += state.n_misses
     l1.c_tag_probes.value += state.n_probes
+    state.n_hits = state.n_misses = state.n_probes = state.n_tracked = 0
     cells = l1.demand_cells
     for index, count in enumerate(demand):
         if count:
             for cell in cells[index]:
                 cell.value += count
-    for bucket, count in enumerate(state.hist):
-        if count:
-            cpu_group.set(LAT_HIST_KEYS[bucket], count)
 
 
 class _SpanState:
@@ -1495,8 +1516,9 @@ class _SpanState:
 
     One instance spans one logical replay: the clock, the cumulative
     stall cycles, the outstanding-read heap, the latency histogram,
-    and the loop-local counters :func:`_flush_shared` folds at the
-    end.  :meth:`KernelEngine.replay` threads it through every span.
+    and the loop-local counters :func:`_flush_span` folds into the
+    shared cells.  :meth:`KernelEngine.replay` threads it through
+    every span.
     """
 
     __slots__ = ("now", "stalled", "window", "hist", "n_hits",
@@ -1523,10 +1545,10 @@ def _replay_2l_span(engine: KernelEngine, packed, start, stop,
     cases drop into the (still flat) slow-path methods.  The cache
     state and the fill-path counter cells are exact after every call
     (the inlined-fill accumulators fold on exit), but the L1
-    hit/miss/probe counts, tracked misses and latency histogram ride
-    in ``state`` and, like the demand counts, reach the shared cells
-    only in :func:`_flush_shared` — so a sampler between spans reads
-    occupancy, not those counters.
+    hit/miss/probe counts and tracked misses ride in ``state`` until
+    :func:`_flush_span` folds them, with the span's demand counts,
+    before the sampler runs; the latency histogram stays in ``state``
+    until the replay ends, as the object path's does.
     """
     l1 = engine.levels[0]
     now = state.now

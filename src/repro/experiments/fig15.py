@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core.results import format_table
+from ..core.simulator import ensure_trace
 from .runner import ExperimentRunner
 
 WORKLOADS = ("sgemm", "ssyrk")
@@ -88,8 +89,8 @@ def run_fig15(runner: Optional[ExperimentRunner] = None,
     runner = runner or ExperimentRunner()
     result = Fig15Result()
     for workload in workloads or WORKLOADS:
-        # Choose the sampling stride from a cheap trace-length estimate
-        # so every run yields roughly `samples` points.
+        # Choose the sampling stride from the trace's length so every
+        # run yields roughly `samples` points.
         probe = runner.run(design, workload, size,
                            sample_every=stride_for(workload, size,
                                                    samples))
@@ -105,10 +106,13 @@ def run_fig15(runner: Optional[ExperimentRunner] = None,
 
 
 def stride_for(workload: str, size: str, samples: int) -> int:
-    """Ops between occupancy samples, targeting ``samples`` points."""
-    from ..sw.tracegen import trace_length
-    from ..workloads.registry import build_workload
-    length = trace_length(build_workload(workload, size), logical_dims=2)
+    """Ops between occupancy samples, targeting ``samples`` points.
+
+    Reads the length of the very trace the sampled point replays
+    (:func:`ensure_trace`: memo, then trace store, then generation),
+    so the plan, the report and the replay share one trace.
+    """
+    length = len(ensure_trace(workload, size, 2)[1])
     return max(1, length // samples)
 
 

@@ -149,7 +149,9 @@ def coverage_report(names: Optional[Tuple[str, ...]] = None) \
     each one.  This is the
     ``run_all --dry-run`` payload; ``benchmarks/check_kernel_coverage``
     diffs it against a committed baseline so a config silently falling
-    off the fast paths fails CI.
+    off the fast paths fails CI.  It replays nothing, but planning is
+    not free of traces: fig15's planner materializes its two sampled
+    traces to size the sampling stride (:func:`fig15.stride_for`).
     """
     experiments = _experiments(None)
     selected = [name for name in experiments

@@ -1,16 +1,21 @@
 """Software support: program IR, direction analysis, layout, vectorizer."""
 
 from .directions import DirectionInfo, analyze_ref, analyze_ref_1d
-from .layout import Layout, LinearLayout, TiledLayout, make_layout
+from .layout import (
+    ArrayAddressing,
+    Layout,
+    LinearLayout,
+    TiledLayout,
+    make_layout,
+)
 from .profiling import ProfileVerdict, profile_directions, profile_ref
 from .program import Affine, ArrayDecl, ArrayRef, Loop, LoopNest, Program
 from .tiling import tile_nest, tile_program
 from .tracefile import format_request, parse_request, read_trace, write_trace
 from .tracegen import (
     TraceMix,
+    generate_packed_trace,
     generate_trace,
-    materialize,
-    trace_compiled,
     trace_length,
     trace_mix,
 )
@@ -26,6 +31,7 @@ from .vectorizer import (
 
 __all__ = [
     "Affine",
+    "ArrayAddressing",
     "ArrayDecl",
     "ArrayRef",
     "CompiledNest",
@@ -54,10 +60,9 @@ __all__ = [
     "parse_request",
     "read_trace",
     "write_trace",
+    "generate_packed_trace",
     "generate_trace",
     "make_layout",
-    "materialize",
-    "trace_compiled",
     "trace_length",
     "trace_mix",
 ]

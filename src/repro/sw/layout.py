@@ -16,6 +16,7 @@ the "1-D optimized" layout every logically 1-D experiment uses.
 from __future__ import annotations
 
 import abc
+from dataclasses import dataclass
 from typing import Dict, List
 
 from ..common.errors import AddressError, ProgramError
@@ -23,13 +24,42 @@ from ..common.types import (
     LINE_BYTES,
     TILE_BYTES,
     WORD_BYTES,
-    word_addr,
+    WORDS_PER_LINE,
+    WORDS_PER_TILE,
 )
 from .program import ArrayDecl
 
 
 def _round_up(value: int, multiple: int) -> int:
     return (value + multiple - 1) // multiple * multiple
+
+
+@dataclass(frozen=True)
+class ArrayAddressing:
+    """How a layout places one array, as per-array word parameters.
+
+    Both layouts place element ``(i, j)`` at word address
+    ``base + (i >> 3) * row_block + (i & 7) * row_step
+    + (j >> 3) * col_block + (j & 7) * col_step`` (the byte address is
+    that times 8), so moving ``i`` and ``j`` by ``(8 * di, 8 * dj)``
+    moves the word by ``di * row_block + dj * col_block`` wherever the
+    element sits.  The trace emitter relies on that to turn every
+    8-lane group of a loop into an arithmetic progression.
+    """
+
+    rows: int
+    cols: int
+    base: int
+    row_block: int
+    row_step: int
+    col_block: int
+    col_step: int
+
+    def word(self, i: int, j: int) -> int:
+        """Word address of in-bounds element ``(i, j)`` (unchecked)."""
+        return (self.base + (i >> 3) * self.row_block
+                + (i & 7) * self.row_step + (j >> 3) * self.col_block
+                + (j & 7) * self.col_step)
 
 
 class Layout(abc.ABC):
@@ -41,10 +71,31 @@ class Layout(abc.ABC):
             if decl.name in self._arrays:
                 raise ProgramError(f"duplicate array {decl.name!r}")
             self._arrays[decl.name] = decl
+        self._addressing: Dict[str, ArrayAddressing] = {}
 
-    @abc.abstractmethod
+    def addressing(self, array: str) -> ArrayAddressing:
+        """The address parameters of ``array``.
+
+        Raises:
+            AddressError: the layout does not map ``array``.
+        """
+        try:
+            return self._addressing[array]
+        except KeyError:
+            raise AddressError(f"unknown array {array!r}") from None
+
     def address_of(self, array: str, i: int, j: int) -> int:
-        """Physical byte address of element ``array[i][j]``."""
+        """Physical byte address of element ``array[i][j]``.
+
+        Raises:
+            AddressError: unknown array, or ``(i, j)`` out of bounds.
+        """
+        place = self.addressing(array)
+        if not (0 <= i < place.rows and 0 <= j < place.cols):
+            raise AddressError(
+                f"{array}[{i}][{j}] out of bounds "
+                f"({place.rows}x{place.cols})")
+        return place.word(i, j) * WORD_BYTES
 
     @abc.abstractmethod
     def footprint_bytes(self) -> int:
@@ -57,26 +108,12 @@ class Layout(abc.ABC):
     def padding_bytes(self) -> int:
         return self.footprint_bytes() - self.data_bytes()
 
-    def _decl(self, array: str) -> ArrayDecl:
-        try:
-            return self._arrays[array]
-        except KeyError:
-            raise AddressError(f"unknown array {array!r}") from None
-
-    def _check_bounds(self, decl: ArrayDecl, i: int, j: int) -> None:
-        if not (0 <= i < decl.rows and 0 <= j < decl.cols):
-            raise AddressError(
-                f"{decl.name}[{i}][{j}] out of bounds "
-                f"({decl.rows}x{decl.cols})")
-
 
 class LinearLayout(Layout):
     """Row-major, line-aligned arrays — the 1-D optimized layout."""
 
     def __init__(self, arrays: List[ArrayDecl]) -> None:
         super().__init__(arrays)
-        self._base: Dict[str, int] = {}
-        self._pitch: Dict[str, int] = {}
         cursor = 0
         for decl in arrays:
             # Pad the pitch to a whole line so rows are vector-aligned.
@@ -85,20 +122,16 @@ class LinearLayout(Layout):
             # C-language)", whose power-of-two pitches give column
             # walks the classic set-conflict pathology — part of what
             # MDA caching rescues (see EXPERIMENTS.md fidelity notes).
-            pitch = _round_up(decl.cols, LINE_BYTES // WORD_BYTES)
-            self._base[decl.name] = cursor
-            self._pitch[decl.name] = pitch
+            pitch = _round_up(decl.cols, WORDS_PER_LINE)
+            self._addressing[decl.name] = ArrayAddressing(
+                decl.rows, decl.cols, cursor // WORD_BYTES,
+                row_block=8 * pitch, row_step=pitch,
+                col_block=8, col_step=1)
             cursor += _round_up(decl.rows * pitch * WORD_BYTES, LINE_BYTES)
         self._footprint = cursor
 
-    def address_of(self, array: str, i: int, j: int) -> int:
-        decl = self._decl(array)
-        self._check_bounds(decl, i, j)
-        return (self._base[array]
-                + (i * self._pitch[array] + j) * WORD_BYTES)
-
     def pitch_words(self, array: str) -> int:
-        return self._pitch[array]
+        return self.addressing(array).row_step
 
     def footprint_bytes(self) -> int:
         return self._footprint
@@ -115,30 +148,21 @@ class TiledLayout(Layout):
 
     def __init__(self, arrays: List[ArrayDecl]) -> None:
         super().__init__(arrays)
-        self._base_tile: Dict[str, int] = {}
-        self._tile_cols: Dict[str, int] = {}
         cursor = 0  # in tiles
         for decl in arrays:
             tile_rows = _round_up(decl.rows, 8) // 8
             tile_cols = _round_up(decl.cols, 8) // 8
-            self._base_tile[decl.name] = cursor
-            self._tile_cols[decl.name] = tile_cols
+            self._addressing[decl.name] = ArrayAddressing(
+                decl.rows, decl.cols, cursor * WORDS_PER_TILE,
+                row_block=tile_cols * WORDS_PER_TILE,
+                row_step=WORDS_PER_LINE,
+                col_block=WORDS_PER_TILE, col_step=1)
             cursor += tile_rows * tile_cols
         self._footprint = cursor * TILE_BYTES
 
-    def address_of(self, array: str, i: int, j: int) -> int:
-        decl = self._decl(array)
-        self._check_bounds(decl, i, j)
-        tile = (self._base_tile[array]
-                + (i // 8) * self._tile_cols[array] + (j // 8))
-        return word_addr(tile, i % 8, j % 8)
-
     def tile_of(self, array: str, i: int, j: int) -> int:
         """Tile index holding element (i, j) (for tests)."""
-        decl = self._decl(array)
-        self._check_bounds(decl, i, j)
-        return (self._base_tile[array]
-                + (i // 8) * self._tile_cols[array] + (j // 8))
+        return self.address_of(array, i, j) // TILE_BYTES
 
     def footprint_bytes(self) -> int:
         return self._footprint

@@ -1,4 +1,4 @@
-"""Trace generation: walk a compiled kernel, emit annotated requests.
+"""Trace generation: emit a compiled kernel's packed request words.
 
 This is where the compiler model meets the architecture model: every
 static reference's orientation annotation and vectorization class (paper
@@ -10,25 +10,47 @@ per oriented line its lane group touches (one when aligned, two when the
 group straddles a line boundary, as in the +/-1-offset Sobel taps); a
 SCALAR_HOISTED ref emits one scalar request per group; SCALAR_SERIAL
 emits one per lane.  Loop tails and non-vectorized nests emit scalars.
+
+One emitter walks each nest and appends packed words (the
+:mod:`repro.common.types` layout) straight into one ``array('Q')``.
+Outer loops run in Python, one iteration at a time.  On entering an
+innermost loop the emitter folds each ref's row and column subscripts
+into ``base + coeff * x``, checks their range once at the loop's two
+endpoints (an affine subscript is monotone in ``x``), and from then on
+every per-group column of words is an arithmetic progression: a shift
+of 8 lanes moves a subscript by a multiple of 8, hence the word by a
+fixed stride in either layout (:class:`~repro.sw.layout.ArrayAddressing`).
+The group part of the loop is thus ``zip`` over ``range`` objects,
+extended into the buffer in C; only the sub-8 tail is emitted per word.
+Whether a VECTOR ref's groups straddle two lines is decided once per
+loop: every group starts at the same in-line offset.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Dict, Iterator, List, Optional
 
 from ..common.types import (
+    LINE_WORD_BITS,
+    PACKED_ADDR_LIMIT,
+    PACKED_ADDR_SHIFT,
+    PACKED_REF_LIMIT,
+    WORD_BYTES,
     AccessWidth,
     Orientation,
     PackedTrace,
     Request,
-    line_id_of,
+    pack_request,
+    packed_flags,
 )
-from .layout import Layout, make_layout
-from .program import Program
+from ..common.errors import AddressError
+from .layout import ArrayAddressing, Layout, make_layout
+from .program import Affine, Program
 from .vectorizer import (
     CompiledNest,
-    CompiledProgram,
     CompiledRef,
     VECTOR_LANES,
     VecClass,
@@ -36,132 +58,246 @@ from .vectorizer import (
 )
 
 
-def generate_trace(program: Program, logical_dims: int = 2,
-                   layout: Optional[Layout] = None) -> Iterator[Request]:
-    """Requests for a whole program, compiled for ``logical_dims``.
+def generate_packed_trace(program: Program, logical_dims: int = 2,
+                          layout: Optional[Layout] = None) -> PackedTrace:
+    """The packed trace of a whole program, compiled for ``logical_dims``.
 
-    The layout defaults to the one matching the logical dimensionality
-    (the paper always pairs them); passing a mismatched layout
-    reproduces the ~2x slowdown experiment of Section IV-C Design 0.
+    This is the trace representation the simulator replays and the
+    trace store persists: one 64-bit word per request.  The layout
+    defaults to the one matching the logical dimensionality (the paper
+    always pairs them); passing a mismatched layout reproduces the ~2x
+    slowdown experiment of Section IV-C Design 0.
+
+    Raises:
+        AddressError: a reference leaves its array (or names an array
+            the layout does not map).
+        ValueError: a request is not packable — a ref id outside the
+            16-bit field or an address at or above
+            :data:`~repro.common.types.PACKED_ADDR_LIMIT`.
     """
     compiled = compile_program(program, logical_dims)
     if layout is None:
         layout = make_layout(program.arrays, logical_dims)
-    return trace_compiled(compiled, layout)
+    words = array("Q")
+    try:
+        for cnest in compiled.nests:
+            _emit_nest(words, cnest, layout)
+    except OverflowError:
+        # A word past 64 bits carries an address at or above the limit.
+        raise ValueError(
+            f"trace address not packable (word-aligned, "
+            f"< {PACKED_ADDR_LIMIT:#x})") from None
+    return PackedTrace(words)
 
 
-def generate_packed_trace(program: Program, logical_dims: int = 2,
-                          layout: Optional[Layout] = None) -> PackedTrace:
-    """Like :func:`generate_trace`, materialized into a packed buffer.
+def generate_trace(program: Program, logical_dims: int = 2,
+                   layout: Optional[Layout] = None) -> Iterator[Request]:
+    """The requests of :func:`generate_packed_trace`, decoded.
 
-    This is the trace representation the simulator replays and the
-    trace store persists: one 64-bit word per request, generated in a
-    single pass over the kernel walk.
+    The trace is materialized first; this is a decoded view of the
+    packed words, not a lazy walk.
     """
-    return PackedTrace.from_requests(
-        generate_trace(program, logical_dims, layout))
+    return iter(generate_packed_trace(program, logical_dims, layout))
 
 
-def trace_compiled(compiled: CompiledProgram,
-                   layout: Layout) -> Iterator[Request]:
-    """Requests for an already-compiled program."""
-    for cnest in compiled.nests:
-        yield from _walk_nest(cnest, layout)
+class _Ref:
+    """One compiled reference, prepared for emission in one nest.
+
+    ``row`` and ``col`` are the subscripts without the innermost
+    variable's term, whose coefficients are ``ci`` and ``cj`` (0 for
+    refs above the innermost loop, which are emitted one at a time).
+    ``lanes`` is how many scalar columns the ref adds per 8-lane group
+    (1 hoisted, 8 serial), or 0 for a VECTOR ref.
+    """
+
+    __slots__ = ("cref", "name", "row", "col", "ci", "cj", "place",
+                 "flags", "vflags", "lanes", "line_mask", "stride")
+
+    def __init__(self, cref: CompiledRef, layout: Layout,
+                 var: Optional[str]) -> None:
+        ref = cref.ref
+        self.cref = cref
+        self.name = ref.array.name
+        self.row = _without(ref.row, var)
+        self.col = _without(ref.col, var)
+        self.ci = ref.row.coeff(var) if var else 0
+        self.cj = ref.col.coeff(var) if var else 0
+        try:
+            self.place = layout.addressing(self.name)
+        except AddressError:
+            # Raised when the ref first executes: an empty shape fails
+            # every range check.
+            self.place = _UNMAPPED
+        orientation = cref.direction.orientation
+        self.flags = packed_flags(orientation, AccessWidth.SCALAR,
+                                  ref.is_write, cref.ref_id)
+        self.vflags = packed_flags(orientation, AccessWidth.VECTOR,
+                                   ref.is_write, cref.ref_id)
+        self.lanes = _LANES[cref.vec_class]
+        # Word-index bits outside the line: two words share a line
+        # exactly when they differ in none of them.
+        self.line_mask = ~LINE_WORD_BITS[orientation]
+        # Packed-word delta per 8-lane step of the innermost variable.
+        self.stride = (self.ci * self.place.row_block
+                       + self.cj * self.place.col_block) << PACKED_ADDR_SHIFT
+
+    def check(self, layout: Layout, i: int, j: int) -> None:
+        """Raise what packing ``(i, j)`` raises; nothing if it packs."""
+        place = self.place
+        if not (0 <= i < place.rows and 0 <= j < place.cols):
+            layout.address_of(self.name, i, j)  # raises AddressError
+        cref = self.cref
+        if cref.ref_id >= PACKED_REF_LIMIT:
+            pack_request(Request(place.word(i, j) * WORD_BYTES,
+                                 cref.direction.orientation,
+                                 AccessWidth.SCALAR, cref.ref.is_write,
+                                 cref.ref_id))
 
 
-def _walk_nest(cnest: CompiledNest, layout: Layout) -> Iterator[Request]:
-    yield from _walk_level(cnest, layout, level=0, env={})
+_LANES = {VecClass.VECTOR: 0, VecClass.SCALAR_HOISTED: 1,
+          VecClass.SCALAR_SERIAL: VECTOR_LANES}
+_UNMAPPED = ArrayAddressing(0, 0, 0, 0, 0, 0, 0)
 
 
-def _walk_level(cnest: CompiledNest, layout: Layout, level: int,
-                env: Dict[str, int]) -> Iterator[Request]:
+def _without(expr: Affine, var: Optional[str]) -> Affine:
+    """``expr`` without its ``var`` term."""
+    if var is None or not expr.coeff(var):
+        return expr
+    return Affine(tuple((name, coeff) for name, coeff in expr.coeffs
+                        if name != var), expr.const)
+
+
+def _column(word: int, flags: int, stride: int, count: int):
+    """``count`` packed words, the first addressing ``word`` with
+    ``flags``, each next one ``stride`` further."""
+    start = (word << PACKED_ADDR_SHIFT) | flags
+    if stride:
+        return range(start, start + stride * count, stride)
+    return repeat(start, count)
+
+
+def _emit_nest(out: array, cnest: CompiledNest, layout: Layout) -> None:
     loops = cnest.nest.loops
-    loop = loops[level]
-    low = loop.lower.evaluate(env)
-    high = loop.upper.evaluate(env)
-    innermost = level == len(loops) - 1
-    depth = level + 1
-    if innermost:
-        yield from _walk_innermost(cnest, layout, env, loop.var, low, high)
-        return
-    before = cnest.refs_at(depth, "before")
-    after = cnest.refs_at(depth, "after")
-    for value in range(low, high):
-        env[loop.var] = value
-        for cref in before:
-            yield from _emit_scalar(cref, layout, env)
-        yield from _walk_level(cnest, layout, level + 1, env)
-        for cref in after:
-            yield from _emit_scalar(cref, layout, env)
-    env.pop(loop.var, None)
+    last = len(loops) - 1
+    inner = [_Ref(cref, layout, loops[last].var)
+             for cref in cnest.innermost_refs()]
+    before = [[_Ref(cref, layout, None)
+               for cref in cnest.refs_at(depth, "before")]
+              for depth in range(1, last + 1)]
+    after = [[_Ref(cref, layout, None)
+              for cref in cnest.refs_at(depth, "after")]
+             for depth in range(1, last + 1)]
+    emit_inner = _emit_groups if cnest.vectorized else _emit_scalars
+    env: Dict[str, int] = {}
 
+    def scalar(refs: List[_Ref]) -> None:
+        for ref in refs:
+            i = ref.row.evaluate(env)
+            j = ref.col.evaluate(env)
+            ref.check(layout, i, j)
+            out.append((ref.place.word(i, j) << PACKED_ADDR_SHIFT)
+                       | ref.flags)
 
-def _walk_innermost(cnest: CompiledNest, layout: Layout,
-                    env: Dict[str, int], var: str, low: int,
-                    high: int) -> Iterator[Request]:
-    refs = cnest.innermost_refs()
-    if not cnest.vectorized:
+    def level(index: int) -> None:
+        loop = loops[index]
+        low = loop.lower.evaluate(env)
+        high = loop.upper.evaluate(env)
+        if index == last:
+            if high > low:
+                emit_inner(out, inner, layout, env, low, high)
+            return
+        var = loop.var
+        first, then = before[index], after[index]
         for value in range(low, high):
             env[var] = value
-            for cref in refs:
-                yield from _emit_scalar(cref, layout, env)
+            if first:
+                scalar(first)
+            level(index + 1)
+            if then:
+                scalar(then)
         env.pop(var, None)
-        return
-    value = low
-    while value + VECTOR_LANES <= high:
-        env[var] = value
-        for cref in refs:
-            if cref.vec_class is VecClass.VECTOR:
-                yield from _emit_vector(cref, layout, env, var)
-            elif cref.vec_class is VecClass.SCALAR_HOISTED:
-                yield from _emit_scalar(cref, layout, env)
-            else:
-                yield from _emit_serial(cref, layout, env, var)
-        value += VECTOR_LANES
-    # Loop tail: plain scalar iterations.
-    for tail in range(value, high):
-        env[var] = tail
-        for cref in refs:
-            yield from _emit_scalar(cref, layout, env)
-    env.pop(var, None)
+
+    level(0)
 
 
-def _emit_scalar(cref: CompiledRef, layout: Layout,
-                 env: Dict[str, int]) -> Iterator[Request]:
-    addr = layout.address_of(cref.ref.array.name,
-                             cref.ref.row.evaluate(env),
-                             cref.ref.col.evaluate(env))
-    yield Request(addr, cref.direction.orientation, AccessWidth.SCALAR,
-                  cref.ref.is_write, cref.ref_id)
+def _fold(refs: List[_Ref], layout: Layout, env: Dict[str, int],
+          low: int, high: int):
+    """Each ref's ``(ref, i0, j0)`` for one innermost loop instance,
+    after checking its range at ``x = low`` and ``x = high - 1``."""
+    folded = []
+    end = high - 1
+    for ref in refs:
+        i0 = ref.row.evaluate(env)
+        j0 = ref.col.evaluate(env)
+        ci = ref.ci
+        cj = ref.cj
+        rows = ref.place.rows
+        cols = ref.place.cols
+        if not (0 <= i0 + ci * low < rows and 0 <= i0 + ci * end < rows
+                and 0 <= j0 + cj * low < cols
+                and 0 <= j0 + cj * end < cols) \
+                or ref.cref.ref_id >= PACKED_REF_LIMIT:
+            ref.check(layout, i0 + ci * low, j0 + cj * low)
+            ref.check(layout, i0 + ci * end, j0 + cj * end)
+        folded.append((ref, i0, j0))
+    return folded
 
 
-def _emit_serial(cref: CompiledRef, layout: Layout, env: Dict[str, int],
-                 var: str) -> Iterator[Request]:
-    base = env[var]
-    for lane in range(VECTOR_LANES):
-        env[var] = base + lane
-        yield from _emit_scalar(cref, layout, env)
-    env[var] = base
+def _emit_tail(out: array, folded, start: int, high: int) -> None:
+    """Scalar words for ``x`` in ``[start, high)``, refs in order."""
+    for x in range(start, high):
+        for ref, i0, j0 in folded:
+            out.append((ref.place.word(i0 + ref.ci * x, j0 + ref.cj * x)
+                        << PACKED_ADDR_SHIFT) | ref.flags)
 
 
-def _emit_vector(cref: CompiledRef, layout: Layout, env: Dict[str, int],
-                 var: str) -> Iterator[Request]:
-    """One request per oriented line the 8-lane group touches."""
-    name = cref.ref.array.name
-    orientation = cref.direction.orientation
-    first = layout.address_of(name, cref.ref.row.evaluate(env),
-                              cref.ref.col.evaluate(env))
-    base = env[var]
-    env[var] = base + VECTOR_LANES - 1
-    last = layout.address_of(name, cref.ref.row.evaluate(env),
-                             cref.ref.col.evaluate(env))
-    env[var] = base
-    yield Request(first, orientation, AccessWidth.VECTOR,
-                  cref.ref.is_write, cref.ref_id)
-    if line_id_of(last, orientation) != line_id_of(first, orientation):
-        # Misaligned group: the tail lanes live in the next line.
-        yield Request(last, orientation, AccessWidth.VECTOR,
-                      cref.ref.is_write, cref.ref_id)
+def _emit_scalars(out: array, refs: List[_Ref], layout: Layout,
+                  env: Dict[str, int], low: int, high: int) -> None:
+    """A non-vectorized innermost loop: one scalar per ref per ``x``.
+
+    Whole chunks of 8 iterations go out as ``8 * len(refs)`` columns
+    (lane-major, refs in order within a lane), one word per chunk.
+    """
+    folded = _fold(refs, layout, env, low, high)
+    chunks = (high - low) >> 3
+    if chunks:
+        columns = []
+        for x in range(low, low + VECTOR_LANES):
+            for ref, i0, j0 in folded:
+                word = ref.place.word(i0 + ref.ci * x, j0 + ref.cj * x)
+                columns.append(_column(word, ref.flags, ref.stride, chunks))
+        out.extend(chain.from_iterable(zip(*columns)))
+    _emit_tail(out, folded, low + (chunks << 3), high)
+
+
+def _emit_groups(out: array, refs: List[_Ref], layout: Layout,
+                 env: Dict[str, int], low: int, high: int) -> None:
+    """A vectorized innermost loop: 8-lane groups, then a scalar tail."""
+    folded = _fold(refs, layout, env, low, high)
+    groups = (high - low) >> 3
+    if groups:
+        columns = []
+        end = low + VECTOR_LANES - 1
+        for ref, i0, j0 in folded:
+            word = ref.place.word
+            ci = ref.ci
+            cj = ref.cj
+            lanes = ref.lanes
+            if lanes:
+                for x in range(low, low + lanes):
+                    columns.append(_column(word(i0 + ci * x, j0 + cj * x),
+                                           ref.flags, ref.stride, groups))
+                continue
+            first = word(i0 + ci * low, j0 + cj * low)
+            columns.append(_column(first, ref.vflags, ref.stride, groups))
+            last = word(i0 + ci * end, j0 + cj * end)
+            if (first ^ last) & ref.line_mask:
+                # Misaligned groups: the tail lanes live in the next
+                # line, in every group alike.
+                columns.append(_column(last, ref.vflags, ref.stride,
+                                       groups))
+        out.extend(chain.from_iterable(zip(*columns)))
+    _emit_tail(out, folded, low + (groups << 3), high)
 
 
 @dataclass
@@ -212,9 +348,4 @@ def trace_mix(trace: Iterator[Request]) -> TraceMix:
 
 def trace_length(program: Program, logical_dims: int = 2) -> int:
     """Number of requests a program generates (for sizing runs)."""
-    return sum(1 for _ in generate_trace(program, logical_dims))
-
-
-def materialize(trace: Iterator[Request]) -> List[Request]:
-    """Realize a lazy trace (tests and multi-pass experiments)."""
-    return list(trace)
+    return len(generate_packed_trace(program, logical_dims))

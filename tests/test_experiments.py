@@ -103,6 +103,25 @@ class TestFig14:
 
 
 class TestFig15:
+    def test_plan_and_run_generate_each_trace_once(self):
+        """The stride comes from the memoized trace the replay uses:
+        planning fig15 and then running it walks each sampled trace
+        at most once."""
+        from repro.core.simulator import clear_trace_cache, \
+            configure_trace_store, trace_cache_info
+        from repro.experiments.plans import plan_fig15
+        configure_trace_store(None)
+        clear_trace_cache()
+        keys = plan_fig15(size="small")
+        assert [k.workload for k in keys] == ["sgemm", "ssyrk"]
+        assert trace_cache_info()["generated"] == 2
+        runner = ExperimentRunner()
+        run_fig15(runner, size="small")
+        assert trace_cache_info()["generated"] == 2
+        assert runner.cache_info().misses == len(keys)
+        # The report's points are the planned points, stride included.
+        assert all(runner.lookup(key) is not None for key in keys)
+
     def test_occupancy_series_collected(self):
         result = run_fig15(ExperimentRunner(), workloads=["ssyrk"],
                            size="small", samples=10)

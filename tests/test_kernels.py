@@ -270,25 +270,24 @@ def _short_mixed_trace(dims):
 
 
 def _sampled_run(design, stride, requests=None):
-    """Cycles, flat stats and occupancy samples of a sampled replay:
-    sgemm small through ``run_simulation``, or ``requests`` packed and
-    sampled the way ``run_simulation`` wires its sampler."""
+    """Cycles, final flat stats and ``(occupancy sample, flat stats)``
+    at every sample of a sampled replay: sgemm small, or ``requests``
+    packed, sampled the way ``run_simulation`` wires its sampler."""
     system = make_system(design, 1.0)
-    if requests is None:
-        result = run_simulation(system, workload="sgemm", size="small",
-                                sample_every=stride)
-        return result.cycles, result.stats.flat(), result.samples
+    trace = generate_packed_trace(build_workload("sgemm", "small"),
+                                  system.logical_dims) \
+        if requests is None else PackedTrace.from_requests(requests)
     stats = StatRegistry()
     cpu = TraceDrivenCpu(system.cpu, CacheHierarchy(system, stats),
                          stats)
     samples = []
 
     def sampler(ops, now):
-        samples.append(OccupancySample(ops, now,
-                                       cpu.occupancy_by_level()))
+        samples.append((OccupancySample(ops, now,
+                                        cpu.occupancy_by_level()),
+                        stats.flat()))
 
-    cycles = cpu.run(PackedTrace.from_requests(requests),
-                     sampler=sampler, sample_every=stride)
+    cycles = cpu.run(trace, sampler=sampler, sample_every=stride)
     return cycles, stats.flat(), samples
 
 
@@ -299,19 +298,26 @@ class TestKernelParity:
         """A sampled kernel replay equals the object path
         (``kernel_disabled``) in cycles, flat stats and every
         occupancy sample: ops, cycles, per-level counts and level
-        order."""
+        order, and the flat stats a sampler reads at that point (the
+        L1 hit, miss, probe, tracked-miss and demand counters move
+        span by span, as the object path's move request by
+        request)."""
         dims = make_system(design, 1.0).logical_dims
         requests = _short_mixed_trace(dims) if stride == 1 else None
         via_kernel = _sampled_run(design, stride, requests)
         with kernels.kernel_disabled():
             oracle = _sampled_run(design, stride, requests)
         assert via_kernel == oracle
-        samples = via_kernel[2]
+        samples = [sample for sample, _ in via_kernel[2]]
         assert [list(s.by_level) for s in samples] \
-            == [list(s.by_level) for s in oracle[2]]
+            == [list(s.by_level) for s, _ in oracle[2]]
         ops = oracle[1]["cpu.ops"]
         assert [s.ops for s in samples] \
             == list(range(stride, ops + 1, stride))
+        if samples:
+            hits = [flat.get("cache.L1.hits", 0)
+                    for _, flat in via_kernel[2]]
+            assert hits == sorted(hits) and hits[-1] > 0
         if stride == 1000:
             assert ops % stride, "the last span must be partial"
 
