@@ -19,7 +19,7 @@ trace for both compilation targets.
 """
 
 from repro.sw.program import Affine, ArrayDecl, ArrayRef, Loop, LoopNest, Program
-from repro.sw.tracegen import generate_trace, trace_mix
+from repro.sw.tracegen import generate_packed_trace, trace_mix
 from repro.sw.vectorizer import compile_program
 
 N = 24
@@ -55,7 +55,7 @@ def describe(program: Program, dims: int) -> None:
         info = cref.direction
         print(f"{name:<16} {info.orientation.name:<12} "
               f"{str(info.discerned):<10} {cref.vec_class.value:<16}")
-    mix = trace_mix(generate_trace(program, dims))
+    mix = trace_mix(generate_packed_trace(program, dims))
     fractions = mix.fractions()
     print(f"trace mix by volume: "
           f"row scalar {fractions['row_scalar']:.2f}, "

@@ -220,7 +220,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return SimulationService(runner, supervisor,
                                  max_pending=args.max_pending,
                                  max_batch=args.max_batch,
-                                 batch_window=args.batch_window,
                                  claim_board=board)
 
     if args.workers > 1:
@@ -406,11 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="N",
                          help="largest simulation batch dispatched to "
                               "the supervisor (default: 32)")
-    serve_p.add_argument("--batch-window", type=float, default=0.02,
-                         metavar="SECS",
-                         help="wait after the first queued request so "
-                              "concurrent requests share a batch "
-                              "(default: 0.02)")
     serve_p.add_argument("--workers", type=int, default=1,
                          metavar="N",
                          help="serve from N pre-forked worker "

@@ -415,7 +415,7 @@ class _FlatStore:
         "data_latency", "hit_latency", "tags", "meta", "slot_of",
         "ready_at", "age", "lower", "lower_store", "lower_slots_get",
         "demand_cells", "pending_at", "pending_lvl", "pending_tiles",
-        "earliest", "mshr_capacity", "c_ordering_blocks",
+        "pending_heap", "mshr_capacity", "c_ordering_blocks",
         "c_full_stalls", "c_allocations", "c_hits", "c_misses",
         "c_fetch_requests", "c_tag_probes", "c_mshr_coalesced",
         "c_fills", "c_early_hit_waits",
@@ -452,18 +452,20 @@ class _FlatStore:
         self.lower_slots_get = None
         self.demand_cells = level._demand_cells
         # Private MSHR state mirroring :class:`MshrFile` exactly (same
-        # lazy-retire algorithm, same counter cells), inlined into the
-        # fill paths so a miss pays no method-call round trips.  The
-        # pending file is split into int-valued dicts (completion and
-        # serving level) so the retire/barrier scans iterate plain
-        # ints, and ``pending_tiles`` counts in-flight fills per
+        # retirement set, same counter cells), inlined into the fill
+        # paths so a miss pays no method-call round trips.  The pending
+        # file is split into int-valued dicts (completion and serving
+        # level) so the barrier scan iterates plain ints;
+        # ``pending_heap`` holds the same fills as ``(completion,
+        # line)`` so retirement pops and a full-file stall reads the
+        # head; and ``pending_tiles`` counts in-flight fills per
         # (tile, orientation) key so the 2-D ordering scan is skipped
         # outright when no perpendicular fill is outstanding.
         mshr = level.mshr
         self.pending_at: Dict[int, int] = {}
         self.pending_lvl: Dict[int, int] = {}
         self.pending_tiles: Dict[int, int] = {}
-        self.earliest = None
+        self.pending_heap: List[Tuple[int, int]] = []
         self.mshr_capacity = mshr.capacity
         self.c_ordering_blocks = mshr._c_ordering_blocks
         self.c_full_stalls = mshr._c_full_stalls
@@ -513,49 +515,34 @@ class _FlatStore:
         return now
 
     def _mshr_retire(self, now: int) -> None:
-        """``MshrFile.retire_completed`` over the private pending file."""
+        """``MshrFile.retire_completed`` over the private pending file:
+        pop every fill that completes at or before ``now``."""
+        heap = self.pending_heap
+        if not heap or heap[0][0] > now:
+            return
         pending_at = self.pending_at
-        if not pending_at:
-            return
-        earliest = self.earliest
-        if earliest is not None and now < earliest:
-            return
-        done = []
-        earliest = None
-        for line, at in pending_at.items():
-            if at <= now:
-                done.append(line)
-            elif earliest is None or at < earliest:
-                earliest = at
-        if done:
-            pending_lvl = self.pending_lvl
-            tiles = self.pending_tiles
-            for line in done:
-                del pending_at[line]
-                del pending_lvl[line]
-                key = line >> 3
-                count = tiles[key] - 1
-                if count:
-                    tiles[key] = count
-                else:
-                    del tiles[key]
-        self.earliest = earliest
+        pending_lvl = self.pending_lvl
+        tiles = self.pending_tiles
+        while heap and heap[0][0] <= now:
+            line = heappop(heap)[1]
+            del pending_at[line]
+            del pending_lvl[line]
+            key = line >> 3
+            count = tiles[key] - 1
+            if count:
+                tiles[key] = count
+            else:
+                del tiles[key]
 
-    def _mshr_insert(self, line: int, completion: int, level: int,
-                     issue: int) -> None:
+    def _mshr_insert(self, line: int, completion: int, level: int) -> None:
         """Reserve + record an entry (``allocate`` then ``record``)."""
         self.pending_at[line] = completion
         self.pending_lvl[line] = level
+        heappush(self.pending_heap, (completion, line))
         tiles = self.pending_tiles
         key = line >> 3
         count = tiles.get(key)
         tiles[key] = 1 if count is None else count + 1
-        earliest = self.earliest
-        if earliest is None or issue < earliest:
-            earliest = issue
-        if completion < earliest:
-            earliest = completion
-        self.earliest = earliest
         self.c_allocations.value += 1
         self.c_fills.value += 1
 
@@ -763,9 +750,8 @@ class _Kernel2L(_FlatStore):
         # can precede a later call's smaller clock), and the object's
         # retirement is permanent at the high-water mark — lazily
         # filtering by the current ``now`` would resurrect retired
-        # entries into the barrier and capacity scans.  The sweep
-        # self-gates on the ``earliest`` bound, so it is O(1) when
-        # nothing can have retired.
+        # entries into the barrier and capacity checks.  The heap head
+        # gates the sweep, so it is O(1) when nothing can have retired.
         self._mshr_retire(now)
         pending_at = self.pending_at
         completion = pending_at.get(line)
@@ -790,7 +776,7 @@ class _Kernel2L(_FlatStore):
                         self._mshr_retire(issue)
                 c_stalls = self.c_full_stalls
                 while len(pending_at) >= self.mshr_capacity:
-                    stall_until = min(pending_at.values())
+                    stall_until = self.pending_heap[0][0]
                     if stall_until > issue:
                         issue = stall_until
                     c_stalls.value += 1
@@ -826,16 +812,11 @@ class _Kernel2L(_FlatStore):
             # -- MshrFile.record, inlined --
             pending_at[line] = completion
             self.pending_lvl[line] = level
+            heappush(self.pending_heap, (completion, line))
             tiles = self.pending_tiles
             tkey = line >> 3
             count = tiles.get(tkey)
             tiles[tkey] = 1 if count is None else count + 1
-            earliest = self.earliest
-            if earliest is None or issue < earliest:
-                earliest = issue
-            if completion < earliest:
-                earliest = completion
-            self.earliest = earliest
             self.c_allocations.value += 1
             self.c_fills.value += 1
         # -- _install(line, completion, dirty=0), inlined.  One scan
@@ -988,7 +969,7 @@ class _Kernel1L(_FlatStore):
             if len(pending_at) >= self.mshr_capacity:
                 c_stalls = self.c_full_stalls
                 while len(pending_at) >= self.mshr_capacity:
-                    stall_until = min(pending_at.values())
+                    stall_until = self.pending_heap[0][0]
                     if stall_until > issue:
                         issue = stall_until
                     c_stalls.value += 1
@@ -1023,16 +1004,11 @@ class _Kernel1L(_FlatStore):
             # -- MshrFile.record, inlined --
             pending_at[line] = completion
             self.pending_lvl[line] = level
+            heappush(self.pending_heap, (completion, line))
             tiles = self.pending_tiles
             tkey = line >> 3
             count = tiles.get(tkey)
             tiles[tkey] = 1 if count is None else count + 1
-            earliest = self.earliest
-            if earliest is None or issue < earliest:
-                earliest = issue
-            if completion < earliest:
-                earliest = completion
-            self.earliest = earliest
             self.c_allocations.value += 1
             self.c_fills.value += 1
         # -- _install(line, completion, dirty_mask), inlined; single
@@ -1138,13 +1114,13 @@ class _Kernel1L(_FlatStore):
                     self.pending_lvl[line])
         issue = now
         while len(pending_at) >= self.mshr_capacity:
-            stall_until = min(pending_at.values())
+            stall_until = self.pending_heap[0][0]
             if stall_until > issue:
                 issue = stall_until
             self.c_full_stalls.value += 1
             self._mshr_retire(stall_until)
         completion, level = self.lower.fetch_line(line, issue, width)
-        self._mshr_insert(line, completion, level, issue)
+        self._mshr_insert(line, completion, level)
         return completion, level
 
     def install(self, line: int, now: int, dirty_mask: int) -> None:
@@ -1271,8 +1247,8 @@ class _Kernel2P2L(_FlatStore):
         not monotonic, and the object path's eager retirement is
         permanent at the high-water mark — a lazy same-``now`` filter
         would resurrect long-retired entries for the capacity check
-        and stall spuriously.  The sweep self-gates on the ``earliest``
-        bound, so it stays O(1) when nothing can have retired.
+        and stall spuriously.  The heap head gates the sweep, so it
+        stays O(1) when nothing can have retired.
         """
         self._mshr_retire(now)
         pending_at = self.pending_at
@@ -1297,13 +1273,13 @@ class _Kernel2P2L(_FlatStore):
                     self._mshr_retire(issue)
             c_stalls = self.c_full_stalls
             while len(pending_at) >= self.mshr_capacity:
-                stall_until = min(pending_at.values())
+                stall_until = self.pending_heap[0][0]
                 if stall_until > issue:
                     issue = stall_until
                 c_stalls.value += 1
                 self._mshr_retire(stall_until)
         completion, level = self.lower.fetch_line(line, issue, width)
-        self._mshr_insert(line, completion, level, issue)
+        self._mshr_insert(line, completion, level)
         return completion, level
 
     def _fill_block_line(self, line: int, now: int, width):
@@ -1591,6 +1567,7 @@ def _replay_2l_span(engine: KernelEngine, packed, start, stop,
     pending_lvl = l1.pending_lvl
     pending_tiles = l1.pending_tiles
     ptiles_get = pending_tiles.get
+    pending_heap = l1.pending_heap
     mshr_cap = l1.mshr_capacity
     l1_retire = l1._mshr_retire
     c_blocks = l1.c_ordering_blocks
@@ -1673,7 +1650,7 @@ def _replay_2l_span(engine: KernelEngine, packed, start, stop,
                             if issue > fnow:
                                 l1_retire(issue)
                         while len(pending_at) >= mshr_cap:
-                            stall_until = min(pending_at.values())
+                            stall_until = pending_heap[0][0]
                             if stall_until > issue:
                                 issue = stall_until
                             c_stalls.value += 1
@@ -1703,15 +1680,10 @@ def _replay_2l_span(engine: KernelEngine, packed, start, stop,
                                                         vector)
                     pending_at[line] = completion
                     pending_lvl[line] = level
+                    heappush(pending_heap, (completion, line))
                     tkey = line >> 3
                     cnt = ptiles_get(tkey)
                     pending_tiles[tkey] = 1 if cnt is None else cnt + 1
-                    earliest = l1.earliest
-                    if earliest is None or issue < earliest:
-                        earliest = issue
-                    if completion < earliest:
-                        earliest = completion
-                    l1.earliest = earliest
                     n_new_fills += 1
                 if same_set:
                     number = line >> 4

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..core.results import format_table, mean
-from ..sw.tracegen import TraceMix, generate_trace, trace_mix
+from ..sw.tracegen import TraceMix, generate_packed_trace, trace_mix
 from ..workloads.registry import build_workload, workload_names
 
 SIZES = ("small", "large")
@@ -59,7 +59,7 @@ def run_fig10(workloads: Optional[List[str]] = None,
         result.mixes[workload] = {}
         for size in result.sizes:
             program = build_workload(workload, size)
-            trace = generate_trace(program, logical_dims=2)
+            trace = generate_packed_trace(program, logical_dims=2)
             result.mixes[workload][size] = trace_mix(trace)
     return result
 

@@ -12,8 +12,9 @@ clients:
    simulating attaches to the in-flight future instead of enqueueing a
    duplicate (the ``coalesced_total`` metric counts these);
 3. **batch dispatch** — distinct new requests are admitted to a
-   *bounded* queue, collected for a short batching window, deduplicated
-   into a :class:`RunKey` plan, and supervised through the existing
+   *bounded* queue and dispatched as soon as the dispatcher is idle:
+   whatever queued while the previous batch ran forms the next
+   :class:`RunKey` plan, supervised through the existing
    :class:`Supervisor` (journal, retries, timeouts, fault taxonomy all
    carry over) on a worker thread.
 
@@ -154,8 +155,6 @@ class SimulationService:
         max_pending: admission-queue bound; submits beyond it are
             rejected with 429 backpressure.
         max_batch: largest RunKey plan per supervised batch.
-        batch_window: seconds the dispatcher waits after the first
-            queued request to let concurrent requests join the batch.
         claim_board: cross-worker in-flight claims over the shared
             run cache (see :mod:`repro.service.coalesce`); ``None``
             (single-process serving) coalesces in-memory only.
@@ -167,7 +166,6 @@ class SimulationService:
                  supervisor: Supervisor,
                  max_pending: int = 256,
                  max_batch: int = 32,
-                 batch_window: float = 0.02,
                  metrics: Optional[ServiceMetrics] = None,
                  claim_board: Optional[ClaimBoard] = None,
                  cross_poll: float = 0.1) -> None:
@@ -175,7 +173,6 @@ class SimulationService:
         self._supervisor = supervisor
         self._max_pending = max(1, int(max_pending))
         self._max_batch = max(1, int(max_batch))
-        self._batch_window = max(0.0, float(batch_window))
         self.metrics = metrics or ServiceMetrics()
         # Wire the live gauges to this instance (a ServiceMetrics made
         # without a service has no callbacks yet).
@@ -326,6 +323,10 @@ class SimulationService:
     # -- dispatcher ----------------------------------------------------------
 
     async def _dispatch_loop(self) -> None:
+        """Natural batching: dispatch whatever is pending the moment
+        the dispatcher is idle.  A request that arrives on an idle
+        service goes out alone, at once; requests that queue while a
+        batch runs form the next one."""
         while True:
             if not self._pending:
                 if self._draining:
@@ -333,11 +334,6 @@ class SimulationService:
                 self._wake.clear()
                 await self._wake.wait()
                 continue
-            # Batching window: let concurrent requests pile on, unless
-            # the batch is already full or the server is draining.
-            if (self._batch_window > 0 and not self._draining
-                    and len(self._pending) < self._max_batch):
-                await asyncio.sleep(self._batch_window)
             batch = self._pending[:self._max_batch]
             del self._pending[:len(batch)]
             await self._run_batch(batch)

@@ -29,6 +29,7 @@ loop: every group starts at the same in-line offset.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Dict, Iterator, List, Optional
@@ -329,21 +330,29 @@ class TraceMix:
         return (self.col_scalar + self.col_vector) / total
 
 
-def trace_mix(trace: Iterator[Request]) -> TraceMix:
-    """Tally a trace into the four Fig. 10 categories, by bytes."""
-    mix = TraceMix()
-    for req in trace:
-        volume = 64 if req.width is AccessWidth.VECTOR else 8
-        if req.orientation is Orientation.ROW:
-            if req.width is AccessWidth.VECTOR:
-                mix.row_vector += volume
-            else:
-                mix.row_scalar += volume
-        elif req.width is AccessWidth.VECTOR:
-            mix.col_vector += volume
-        else:
-            mix.col_scalar += volume
-    return mix
+#: A packed word's width (bit 17) and orientation (bit 18): the two
+#: bits that fix its Fig. 10 class.
+_MIX_MASK = packed_flags(Orientation.COLUMN, AccessWidth.VECTOR, False, 0)
+
+
+def trace_mix(trace: PackedTrace) -> TraceMix:
+    """Tally a packed trace into the four Fig. 10 categories, by bytes.
+
+    The words are counted on their width and orientation bits, never
+    decoded: a scalar access moves one word (8 bytes), a vector access
+    a whole line (64).
+    """
+    counts = Counter(map(_MIX_MASK.__and__, trace.words))
+
+    def volume(orientation: Orientation, width: AccessWidth) -> int:
+        per = 64 if width is AccessWidth.VECTOR else 8
+        return per * counts[packed_flags(orientation, width, False, 0)]
+
+    return TraceMix(
+        row_scalar=volume(Orientation.ROW, AccessWidth.SCALAR),
+        row_vector=volume(Orientation.ROW, AccessWidth.VECTOR),
+        col_scalar=volume(Orientation.COLUMN, AccessWidth.SCALAR),
+        col_vector=volume(Orientation.COLUMN, AccessWidth.VECTOR))
 
 
 def trace_length(program: Program, logical_dims: int = 2) -> int:

@@ -6,7 +6,7 @@ from repro.common.types import Orientation
 from repro.core.simulator import run_simulation
 from repro.core.system import make_system
 from repro.sw.directions import analyze_ref
-from repro.sw.tracegen import generate_trace, trace_mix
+from repro.sw.tracegen import generate_packed_trace, trace_mix
 from repro.workloads.extra import (
     build_backsub,
     build_conv1d_col,
@@ -43,7 +43,7 @@ class TestRegistry:
 
 class TestKernelProperties:
     def test_transpose_mixes_orientations(self):
-        mix = trace_mix(generate_trace(build_transpose(16), 2))
+        mix = trace_mix(generate_packed_trace(build_transpose(16), 2))
         assert 0.4 < mix.column_fraction < 0.6
 
     def test_transpose_write_is_columnar(self):
@@ -54,7 +54,7 @@ class TestKernelProperties:
         assert info.orientation is Orientation.COLUMN
 
     def test_jacobi_is_row_oriented(self):
-        mix = trace_mix(generate_trace(build_jacobi2d(16), 2))
+        mix = trace_mix(generate_packed_trace(build_jacobi2d(16), 2))
         assert mix.column_fraction == 0.0
 
     def test_jacobi_ping_pongs_grids(self):
@@ -64,7 +64,7 @@ class TestKernelProperties:
         assert first_dst.array.name != second_dst.array.name
 
     def test_conv1d_col_is_pure_column(self):
-        mix = trace_mix(generate_trace(build_conv1d_col(16), 2))
+        mix = trace_mix(generate_packed_trace(build_conv1d_col(16), 2))
         assert mix.column_fraction == 1.0
 
     def test_covariance_has_three_phases(self):
@@ -76,7 +76,7 @@ class TestKernelProperties:
         program = build_backsub(16)
         loop = program.nests[0].loops[-1]
         assert loop.upper.coeff("i") == 1  # j < i
-        mix = trace_mix(generate_trace(program, 2))
+        mix = trace_mix(generate_packed_trace(program, 2))
         assert mix.column_fraction > 0.5
 
 

@@ -299,7 +299,7 @@ def _service(tmp_path, name: str) -> SimulationService:
         handle_signals=False)
     board = ClaimBoard(cache_dir, owner=name)
     return SimulationService(runner, supervisor, claim_board=board,
-                             cross_poll=0.02, batch_window=0.0)
+                             cross_poll=0.02)
 
 
 class TestCrossServiceCoalescing:

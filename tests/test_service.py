@@ -3,8 +3,10 @@
 Covers the protocol (validation both stages, payload round-trips), the
 metric primitives (Prometheus rendering, labeled counters, power-of-two
 histograms), and the live server end to end: coalescing under a
-concurrent load of 50+ requests with >30% duplicates, admission-control
-backpressure (429 with ``Retry-After``), drain behaviour (503, journal
+concurrent load of 50+ requests with >30% duplicates, natural batching
+(an idle service dispatches at once; requests queued behind a running
+batch form the next), admission-control backpressure (429 with
+``Retry-After``), drain behaviour (503, journal
 flush, SIGTERM exit 0 in a real subprocess), client retry/backoff, and
 bit-identity between a served result and a direct
 :class:`ExperimentRunner` run.
@@ -200,11 +202,34 @@ class TestMetrics:
 # -- live server harness ------------------------------------------------------
 
 
-def _make_service(tmp_path, **kwargs):
+class _HeldSupervisor(Supervisor):
+    """A supervisor whose batches wait until the test sets
+    :attr:`release`: the dispatcher stays busy with the first batch,
+    so the requests that follow stay queued until the test lets go."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.release = threading.Event()
+
+    def supervise(self, keys, strict=True):
+        # Bounded, so a failing scenario cannot wedge the drain.
+        self.release.wait(timeout=60)
+        return super().supervise(keys, strict=strict)
+
+
+async def _until(predicate, timeout: float = 30.0) -> None:
+    """Yield to the event loop until ``predicate()`` holds."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        await asyncio.sleep(0.005)
+
+
+def _make_service(tmp_path, supervisor_cls=Supervisor, **kwargs):
     runner = ExperimentRunner(
         verbose=False, jobs=1,
         cache_dir=os.path.join(str(tmp_path), RUNCACHE_DIRNAME))
-    supervisor = Supervisor(
+    supervisor = supervisor_cls(
         runner,
         journal=RunJournal.for_suite(str(tmp_path), "service"),
         policy=RetryPolicy(max_retries=1),
@@ -284,8 +309,7 @@ class TestServer:
             metrics = server.service.metrics
             return results, metrics, await client.metrics()
 
-        results, metrics, text = _with_server(
-            tmp_path, scenario, batch_window=0.05)
+        results, metrics, text = _with_server(tmp_path, scenario)
         assert len(results) == 56
         by_key = {}
         for body in results:
@@ -306,26 +330,89 @@ class TestServer:
 
     def test_queue_full_rejects_with_429(self, tmp_path):
         async def scenario(server, client):
-            # A huge batch window holds jobs in the queue long enough
-            # to observe the bound deterministically.
-            first = asyncio.create_task(
-                client.simulate("1P2L", "sobel"))
-            await asyncio.sleep(0.1)  # first now occupies the queue
-            with pytest.raises(AdmissionRejected) as excinfo:
-                await client.simulate("1P1L", "sobel")
-            assert excinfo.value.retry_after >= 1.0
-            status, headers, _ = await client._once(
-                "POST", "/simulate",
-                {"design": "2P2L", "workload": "sobel"}, False)
-            assert status == 429
-            assert "retry-after" in headers
-            rejected = server.service.metrics.rejected
-            assert rejected.value(reason="queue_full") == 2
+            service = server.service
+            try:
+                # A held batch keeps the dispatcher busy, so the next
+                # request stays in the queue long enough to observe
+                # the bound deterministically.
+                held = asyncio.create_task(
+                    client.simulate("1P2L_SameSet", "sobel"))
+                await _until(lambda: service.metrics.batches.total() == 1)
+                first = asyncio.create_task(
+                    client.simulate("1P2L", "sobel"))
+                # first now occupies the queue
+                await _until(lambda: service.queue_depth == 1)
+                with pytest.raises(AdmissionRejected) as excinfo:
+                    await client.simulate("1P1L", "sobel")
+                assert excinfo.value.retry_after >= 1.0
+                status, headers, _ = await client._once(
+                    "POST", "/simulate",
+                    {"design": "2P2L", "workload": "sobel"}, False)
+                assert status == 429
+                assert "retry-after" in headers
+                rejected = service.metrics.rejected
+                assert rejected.value(reason="queue_full") == 2
+            finally:
+                service._supervisor.release.set()
+            await held
             return await first
 
         result = _with_server(tmp_path, scenario, max_pending=1,
-                              batch_window=3.0)
+                              supervisor_cls=_HeldSupervisor)
         assert result["source"] == "simulated"
+
+    def test_requests_queued_behind_a_batch_form_the_next(self,
+                                                          tmp_path):
+        """Natural batching: the first request dispatches alone, and
+        the N distinct requests that queue while its batch runs go
+        out together as the second batch."""
+        keys = [RunKey(design, "sobel", "small", llc_mb, False,
+                       "default", 0)
+                for design in ("1P1L", "1P2L", "2P2L")
+                for llc_mb in (1.0, 2.0)]
+        queued = len(keys) - 1
+
+        async def scenario(server, client):
+            service = server.service
+            try:
+                first = asyncio.create_task(service.submit(keys[0]))
+                await _until(lambda: service.metrics.batches.total() == 1)
+                rest = [asyncio.create_task(service.submit(key))
+                        for key in keys[1:]]
+                await _until(lambda: service.queue_depth == queued)
+            finally:
+                service._supervisor.release.set()
+            answers = await asyncio.gather(first, *rest)
+            return answers, service.metrics
+
+        answers, metrics = _with_server(tmp_path, scenario,
+                                        supervisor_cls=_HeldSupervisor)
+        assert [source for _, source in answers] \
+            == ["simulated"] * len(keys)
+        assert metrics.batches.total() == 2
+        # Two batches of sizes summing to 1 + N, one of them exactly 1
+        # (bucket le="1" holds only the value 1).
+        text = metrics.registry.render()
+        assert "repro_batch_size_count 2" in text
+        assert f"repro_batch_size_sum {1 + queued}" in text
+        assert 'repro_batch_size_bucket{le="1"} 1' in text
+
+    def test_lone_request_dispatches_without_waiting(self, tmp_path):
+        """An idle service dispatches a request the moment it is
+        admitted: its queue wait is one event-loop hop, under half
+        the 20 ms a batching window used to add to every served
+        miss."""
+        async def scenario(server, client):
+            await server.service.submit(
+                RunKey("1P2L", "sobel", "small", 1.0, False,
+                       "default", 0))
+            return server.service.metrics.registry.render()
+
+        text = _with_server(tmp_path, scenario)
+        assert "repro_stage_queue_wait_seconds_count 1" in text
+        wait = float(re.search(
+            r"repro_stage_queue_wait_seconds_sum (\S+)", text).group(1))
+        assert wait < 0.010
 
     def test_served_stats_bit_identical_to_direct_run(self, tmp_path):
         direct = ExperimentRunner(verbose=False, cache_dir=None) \

@@ -5,7 +5,7 @@ import pytest
 from repro.common.errors import ProgramError
 from repro.sw.program import Affine, ArrayDecl, ArrayRef, Loop, LoopNest, Program
 from repro.sw.tiling import TILE_SUFFIX, tile_nest, tile_program
-from repro.sw.tracegen import generate_trace, trace_mix
+from repro.sw.tracegen import generate_packed_trace, generate_trace, trace_mix
 from repro.workloads.blas import build_sgemm, build_ssyrk, build_strmm
 
 
@@ -102,6 +102,6 @@ class TestTileProgram:
         grows (the win is reuse, not fewer accesses)."""
         program = build_sgemm(16)
         tiled = tile_program(program, {"i": 8, "j": 8, "k": 8})
-        plain_bytes = trace_mix(generate_trace(program, 2)).total
-        tiled_bytes = trace_mix(generate_trace(tiled, 2)).total
+        plain_bytes = trace_mix(generate_packed_trace(program, 2)).total
+        tiled_bytes = trace_mix(generate_packed_trace(tiled, 2)).total
         assert tiled_bytes >= plain_bytes

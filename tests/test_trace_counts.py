@@ -7,7 +7,7 @@ kernel or the vectorizer changes, these counts change deliberately.
 
 import pytest
 
-from repro.sw.tracegen import generate_trace, trace_mix
+from repro.sw.tracegen import generate_packed_trace, generate_trace, trace_mix
 from repro.workloads.registry import build_workload
 
 
@@ -56,9 +56,9 @@ class TestVolumeConsistency:
     def test_1d_and_2d_traces_touch_same_data_volume(self, name):
         """Vectorization changes request counts, not bytes touched
         (modulo vector-alignment splits that re-touch lines)."""
-        mix_1d = trace_mix(generate_trace(build_workload(name, "small"),
+        mix_1d = trace_mix(generate_packed_trace(build_workload(name, "small"),
                                           1))
-        mix_2d = trace_mix(generate_trace(build_workload(name, "small"),
+        mix_2d = trace_mix(generate_packed_trace(build_workload(name, "small"),
                                           2))
         # 2-D volume >= 1-D volume (vector requests cover full lines,
         # scalars only the word), but within the 8x word/line factor.

@@ -1,9 +1,20 @@
 """Unit tests for trace generation."""
 
-from repro.common.types import AccessWidth, Orientation, line_id_of
+from repro.common.types import (
+    AccessWidth,
+    Orientation,
+    PackedTrace,
+    Request,
+    line_id_of,
+)
 from repro.sw.program import Affine, ArrayDecl, ArrayRef, Loop, LoopNest, Program
 from repro.sw.layout import TiledLayout
-from repro.sw.tracegen import generate_trace, trace_length, trace_mix
+from repro.sw.tracegen import (
+    generate_packed_trace,
+    generate_trace,
+    trace_length,
+    trace_mix,
+)
 from repro.workloads.blas import build_sgemm, build_strmm
 from repro.workloads.sobel import build_sobel
 
@@ -117,12 +128,12 @@ class TestKernelTraces:
         product (request *count* can be higher: loop tails emit
         scalars)."""
         n = 16
-        strmm_bytes = trace_mix(generate_trace(build_strmm(n), 2)).total
-        sgemm_bytes = trace_mix(generate_trace(build_sgemm(n), 2)).total
+        strmm_bytes = trace_mix(generate_packed_trace(build_strmm(n), 2)).total
+        sgemm_bytes = trace_mix(generate_packed_trace(build_sgemm(n), 2)).total
         assert strmm_bytes < sgemm_bytes
 
     def test_sobel_trace_is_column_only(self):
-        mix = trace_mix(generate_trace(build_sobel(16), 2))
+        mix = trace_mix(generate_packed_trace(build_sobel(16), 2))
         assert mix.row_scalar == 0
         assert mix.row_vector == 0
         assert mix.column_fraction == 1.0
@@ -138,10 +149,26 @@ class TestTraceMix:
         prog = single_nest_program(
             [ArrayRef(a, Affine.constant(0), Affine.of("j"))],
             [Loop.over("j", 8)], [a])
-        mix = trace_mix(generate_trace(prog, 2))
+        mix = trace_mix(generate_packed_trace(prog, 2))
         assert mix.row_vector == 64  # one vector = 64 bytes
         assert mix.total == 64
 
     def test_fractions_sum_to_one(self):
-        mix = trace_mix(generate_trace(build_sgemm(16), 2))
+        mix = trace_mix(generate_packed_trace(build_sgemm(16), 2))
         assert abs(sum(mix.fractions().values()) - 1.0) < 1e-9
+
+    def test_counts_each_class_ignoring_write_ref_and_address(self):
+        """Only a word's width and orientation bits decide its class."""
+        requests = [
+            Request(addr, orientation, width, is_write, ref_id)
+            for orientation, width, copies in (
+                (Orientation.ROW, AccessWidth.SCALAR, 1),
+                (Orientation.ROW, AccessWidth.VECTOR, 2),
+                (Orientation.COLUMN, AccessWidth.SCALAR, 3),
+                (Orientation.COLUMN, AccessWidth.VECTOR, 4))
+            for addr, is_write, ref_id in
+            [(8 * k << 20, k % 2 == 1, 0xFFFF - k)
+             for k in range(copies)]]
+        mix = trace_mix(PackedTrace.from_requests(requests))
+        assert (mix.row_scalar, mix.row_vector, mix.col_scalar,
+                mix.col_vector) == (8, 128, 24, 256)

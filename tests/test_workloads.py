@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.sw.tracegen import generate_trace, trace_mix
+from repro.sw.tracegen import generate_packed_trace, trace_mix
 from repro.sw.vectorizer import compile_program
 from repro.workloads.registry import (
     HTAP_SIZES,
@@ -55,20 +55,20 @@ class TestAllWorkloadsBuild:
         """The paper's Fig. 10 claim: every benchmark has column
         preference under the 2-D compilation."""
         program = build_workload(name, "small")
-        mix = trace_mix(generate_trace(program, 2))
+        mix = trace_mix(generate_packed_trace(program, 2))
         assert mix.column_fraction > 0.0
 
     @pytest.mark.parametrize("name", ["sgemm", "ssyr2k", "strmm",
                                       "htap1", "htap2"])
     def test_mixed_affinity_benchmarks_have_rows_too(self, name):
         program = build_workload(name, "small")
-        mix = trace_mix(generate_trace(program, 2))
+        mix = trace_mix(generate_packed_trace(program, 2))
         assert mix.row_scalar + mix.row_vector > 0
 
     def test_1d_compilation_never_emits_columns(self):
         for name in workload_names():
             program = build_workload(name, "small")
-            mix = trace_mix(generate_trace(program, 1))
+            mix = trace_mix(generate_packed_trace(program, 1))
             assert mix.column_fraction == 0.0, name
 
 
@@ -94,7 +94,7 @@ class TestKernelShapes:
         assert (table.rows, table.cols) == (256, 64)
 
     def test_htap2_mix_is_transaction_dominant(self):
-        mix = trace_mix(generate_trace(build_workload("htap2", "large"),
+        mix = trace_mix(generate_packed_trace(build_workload("htap2", "large"),
                                        2))
         assert 0.05 < mix.column_fraction < 0.5
 
