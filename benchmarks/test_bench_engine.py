@@ -5,17 +5,17 @@ Measures (1) raw requests/second of the default engine path (whatever
 (``TraceDrivenCpu.run_kernel``, the default for every covered design)
 on 1P2L and (3) on 2P2L, each bit-checked against the object path
 (pinned via ``kernels.kernel_disabled``), (4) the kernel replay with
-the die-stacked tier below the LLC, (5) the sharded (cold-cache-epoch)
-replay under a 2-worker pool versus serial, and (6) the end-to-end
-wall time of a two-figure sweep (Figs. 11 and 12 restricted to two workloads) under ``--jobs 2``
-versus ``--jobs 1``, cold and warm persistent cache.  Emits
+the die-stacked tier below the LLC, and (5) the end-to-end wall time
+of a two-figure sweep (Figs. 11 and 12 restricted to two workloads)
+supervised at ``--jobs 2`` versus ``--jobs 1``, cold and warm
+persistent cache.  Emits
 ``BENCH_engine.json`` next to the other benchmark artifacts;
 ``check_bench_regression.py`` compares a fresh artifact against the
 committed one in CI.
 
-The container may expose a single core, so the parallel sweep and
-sharded-replay timings only run (and assert) when more than one core
-is available; on a single core the artifact records
+The container may expose a single core, so the parallel sweep
+timing only runs (and asserts) when more than one core is
+available; on a single core the artifact records
 ``"skipped_single_core"`` instead of a misleading ~1.0 ratio.  The
 warm-cache rerun must be near-instant and fully cache-served
 regardless of core count.
@@ -33,8 +33,8 @@ from repro.core.simulator import clear_trace_cache, run_simulation, \
     run_trace
 from repro.core.system import make_system
 from repro.experiments.plans import plan_fig11, plan_fig12
-from repro.experiments.runner import ExperimentRunner, RunKey, \
-    simulate_run_key
+from repro.experiments.runner import ExperimentRunner
+from repro.experiments.supervisor import Supervisor
 
 from conftest import run_once
 
@@ -65,10 +65,17 @@ def _sweep_keys():
     return list(dict.fromkeys(keys))
 
 
-def _timed_prefetch(jobs, cache_dir=None):
+def _supervise(runner):
+    """Sweep the keys the way every CLI path does; returns the number
+    of points simulated."""
+    return Supervisor(runner, handle_signals=False) \
+        .supervise(_sweep_keys()).simulated
+
+
+def _timed_sweep(jobs, cache_dir=None):
     runner = ExperimentRunner(jobs=jobs, cache_dir=cache_dir)
     started = time.perf_counter()
-    simulated = runner.prefetch(_sweep_keys())
+    simulated = _supervise(runner)
     return time.perf_counter() - started, simulated, runner
 
 
@@ -190,61 +197,20 @@ def test_tier_replay_requests_per_second(benchmark):
     _merge_artifact({"tier_replay_requests_per_sec": round(rps)})
 
 
-def test_sharded_replay_speedup():
-    """Sharded (cold-cache epoch) replay: pool vs serial, bit-checked.
-
-    Replays the same 2-epoch plan serially and under a forced
-    2-worker pool; the merged statistics must agree bit for bit on any
-    host.  The wall-clock speedup is only recorded when more than one
-    core is available — on a single core the artifact keeps the
-    ``"skipped_single_core"`` sentinel rather than a ~1.0 ratio.
-    """
-    cpu_count = os.cpu_count() or 1
-    key = RunKey("1P2L", "sgemm", "small", 1.0, False, "default", 0,
-                 (), 2)
-
-    serial_best = None
-    for _ in range(3):
-        started = time.perf_counter()
-        serial = simulate_run_key(key)
-        elapsed = time.perf_counter() - started
-        serial_best = elapsed if serial_best is None \
-            else min(serial_best, elapsed)
-
-    runner = ExperimentRunner(jobs=2, shards=2)
-    started = time.perf_counter()
-    runner.prefetch([key], jobs=2)
-    pool_seconds = time.perf_counter() - started
-    pooled = runner.run(key.design, key.workload, key.size,
-                        key.llc_mb)
-    assert pooled.cycles == serial.cycles
-    assert pooled.stats.flat() == serial.stats.flat()
-
-    if cpu_count > 1:
-        speedup_field = round(serial_best / pool_seconds, 3)
-        note = f"x{speedup_field} over serial {serial_best:.3f}s"
-    else:
-        speedup_field = "skipped_single_core"
-        note = f"1 core (serial {serial_best:.3f}s)"
-    print(f"\nsharded replay: 2 epochs, pool {pool_seconds:.3f}s, "
-          f"{note}")
-    _merge_artifact({"sharded_replay_speedup": speedup_field})
-
-
 def test_two_figure_sweep_parallel_vs_sequential(benchmark, tmp_path):
     cache_dir = str(tmp_path / ".runcache")
     cpu_count = os.cpu_count() or 1
 
-    seq_seconds, seq_simulated, seq_runner = _timed_prefetch(jobs=1)
+    seq_seconds, seq_simulated, seq_runner = _timed_sweep(jobs=1)
     if cpu_count > 1:
-        par_seconds, par_simulated, par_runner = _timed_prefetch(
+        par_seconds, par_simulated, par_runner = _timed_sweep(
             jobs=2, cache_dir=cache_dir)
     else:
         # A 2-job sweep on one core just time-slices the same CPU:
         # skip the parallel timing entirely and populate the
         # persistent cache sequentially for the warm-rerun check.
         par_seconds = None
-        _, par_simulated, par_runner = _timed_prefetch(
+        _, par_simulated, par_runner = _timed_sweep(
             jobs=1, cache_dir=cache_dir)
     assert seq_simulated == par_simulated
 
@@ -260,7 +226,7 @@ def test_two_figure_sweep_parallel_vs_sequential(benchmark, tmp_path):
     # Warm persistent cache: second invocation is served from disk.
     def warm():
         warm_runner = ExperimentRunner(jobs=2, cache_dir=cache_dir)
-        warm_runner.prefetch(_sweep_keys())
+        _supervise(warm_runner)
         return warm_runner
 
     warm_runner = run_once(benchmark, warm)

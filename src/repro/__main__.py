@@ -89,8 +89,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         forwarded += ["--run-timeout", str(args.run_timeout)]
     if args.inject_faults:
         forwarded += ["--inject-faults", args.inject_faults]
-    if args.shards != 1:
-        forwarded += ["--shards", str(args.shards)]
     # Profiling wraps the whole experiment here (not via a forwarded
     # flag) so it also covers experiments without a precomputable run
     # plan, whose mains take no arguments.
@@ -359,14 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SPEC",
                        help="deterministic fault injection spec "
                             "(e.g. worker_crash:0.1,seed:7)")
-    exp_p.add_argument("--shards", type=int, default=1,
-                       metavar="N",
-                       help="split each trace into N window-aligned "
-                            "cold-cache epochs, replayed one after "
-                            "another inside the point's own job and "
-                            "merged deterministically; --jobs runs "
-                            "points, not epochs, in parallel "
-                            "(default: 1)")
     exp_p.add_argument("--profile", action="store_true",
                        help="profile the run under cProfile: dump "
                             "OUTDIR/profile.pstats and print the top "

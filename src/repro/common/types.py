@@ -407,97 +407,6 @@ class PackedTrace:
 _BIG_ENDIAN = array("Q", [1]).tobytes()[0] == 0
 
 
-# -- Trace sharding ----------------------------------------------------------
-#
-# A long packed trace can replay as N *epochs*: contiguous segments,
-# each starting from a cold hierarchy (the context-switch model), whose
-# per-epoch stats merge by plain summation.  The segment boundaries are
-# part of the experiment's identity — ``shards=1`` is the classic
-# uninterrupted replay — so they must be a pure function of
-# ``(total, shards)``.  Interior boundaries snap down to a fixed
-# quantum, which is part of that identity: changing it would move the
-# epoch edges of every sharded result.
-
-#: Shard-boundary quantum, in requests.
-WINDOW_ALIGN = 4096
-
-
-@dataclass(frozen=True, slots=True)
-class ShardPlan:
-    """Deterministic split of ``total`` requests into replay epochs.
-
-    ``bounds`` has one more entry than there are shards; shard ``i``
-    replays requests ``[bounds[i], bounds[i+1])``.  Invariants (checked
-    on construction): bounds start at 0, end at ``total``, are strictly
-    increasing (no empty shard, except the single empty shard of an
-    empty trace), and every interior bound is a ``WINDOW_ALIGN``
-    multiple.
-    """
-
-    total: int
-    bounds: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        bounds = self.bounds
-        if self.total < 0:
-            raise ValueError(f"negative trace length {self.total}")
-        if len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != self.total:
-            raise ValueError(
-                f"bounds {bounds} must run from 0 to {self.total}")
-        for prev, nxt in zip(bounds, bounds[1:]):
-            if prev >= nxt and self.total:
-                raise ValueError(f"bounds {bounds} not increasing")
-        for bound in bounds[1:-1]:
-            if bound % WINDOW_ALIGN:
-                raise ValueError(
-                    f"interior bound {bound} not aligned to "
-                    f"{WINDOW_ALIGN}")
-
-    @classmethod
-    def plan(cls, total: int, shards: int) -> "ShardPlan":
-        """Split ``total`` requests into at most ``shards`` epochs.
-
-        Ideal equal splits are snapped down to the alignment quantum;
-        short traces yield fewer epochs than requested (never an empty
-        one).  ``plan(n, 1)`` is always the single full-trace epoch.
-        """
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        bounds = [0]
-        for i in range(1, shards):
-            cut = (i * total // shards) // WINDOW_ALIGN * WINDOW_ALIGN
-            if cut > bounds[-1] and cut < total:
-                bounds.append(cut)
-        bounds.append(total)
-        return cls(total, tuple(bounds))
-
-    @property
-    def shards(self) -> int:
-        return len(self.bounds) - 1
-
-    def slices(self) -> Iterator[Tuple[int, int]]:
-        """The ``(start, stop)`` request range of each epoch, in order."""
-        return iter(zip(self.bounds, self.bounds[1:]))
-
-    def to_bytes(self) -> bytes:
-        """Serialize (little-endian u64 words: total, then bounds)."""
-        words = array("Q", [self.total, *self.bounds])
-        if _BIG_ENDIAN:  # pragma: no cover - big-endian hosts
-            words.byteswap()
-        return words.tobytes()
-
-    @classmethod
-    def from_bytes(cls, payload: bytes) -> "ShardPlan":
-        """Inverse of :meth:`to_bytes` (same invariant checks)."""
-        words = array("Q")
-        words.frombytes(payload)
-        if _BIG_ENDIAN:  # pragma: no cover - big-endian hosts
-            words.byteswap()
-        if len(words) < 3:
-            raise ValueError("shard plan payload too short")
-        return cls(words[0], tuple(words[1:]))
-
-
 @dataclass(slots=True)
 class AccessResult:
     """Outcome of one request against the cache hierarchy.

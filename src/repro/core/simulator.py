@@ -17,7 +17,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from ..cache.hierarchy import CacheHierarchy
 from ..common.config import SystemConfig
 from ..common.stats import StatRegistry
-from ..common.types import PackedTrace, ShardPlan
+from ..common.types import PackedTrace
 from ..sw.layout import Layout, TiledLayout, make_layout
 from ..sw.program import Program
 from ..sw.tiling import tile_program
@@ -130,7 +130,7 @@ def hold_traces(keys: Iterable[_TraceKey]) -> Iterator[None]:
     """Materialize every trace in ``keys`` and keep all of them
     memo-resident until the block exits.
 
-    The schedulers fork their pool workers inside this block, so the
+    The supervisor forks its pool workers inside this block, so the
     workers inherit every trace copy-on-write and the process tree
     generates (or reads from the store) each one at most once, however
     many distinct traces the plan needs.  The memo's bound is lifted
@@ -214,20 +214,11 @@ def _trim_trace_cache() -> None:
 
 
 def clear_trace_cache() -> None:
-    """Drop all materialized traces (tests and benchmarks)."""
-    _TRACE_CACHE.clear()
-    reset_trace_counters()
-
-
-def reset_trace_counters() -> None:
-    """Zero the trace-cache counters without dropping the memo.
-
-    Forked pool workers call this as their initializer so the
-    snapshots they report count activity since the fork rather than
-    counter values inherited from the parent.
-    """
+    """Drop all materialized traces and zero the counters (tests and
+    benchmarks)."""
     global _trace_cache_hits, _trace_cache_misses
     global _trace_store_hits, _trace_store_misses, _traces_generated
+    _TRACE_CACHE.clear()
     _trace_cache_hits = 0
     _trace_cache_misses = 0
     _trace_store_hits = 0
@@ -329,7 +320,6 @@ def run_simulation(system: SystemConfig,
                    sample_every: int = 0,
                    replacement: str = "lru",
                    compile_dims: Optional[int] = None,
-                   shard: Optional[Tuple[int, int]] = None,
                    variant: str = "") -> RunResult:
     """Simulate one workload on one system configuration.
 
@@ -349,15 +339,6 @@ def run_simulation(system: SystemConfig,
         compile_dims: override the logical dimensionality the trace is
             compiled for (e.g. 1 to model a legacy binary — no column
             annotations or column vectorization — on a 2-D hierarchy).
-        shard: replay epoch ``(index, count)`` of the sharded run
-            instead of the whole trace.  The packed trace is cut at
-            ``WINDOW_ALIGN``-aligned boundaries (:class:`ShardPlan`)
-            and each epoch replays from a cold cache — the
-            context-switch execution model, identical whether the
-            epochs run serially or across pool workers.  Only valid
-            for registry workloads (any ``variant``) without occupancy
-            sampling; merge epoch results with
-            :func:`merge_run_results`.
         variant: replay this named trace of ``workload``
             (:data:`TRACE_VARIANTS`, e.g. ``"legacy"``) instead of the
             protocol default; it is materialized and memoized like the
@@ -370,27 +351,11 @@ def run_simulation(system: SystemConfig,
                          "it excludes program= and layout=")
     logical_dims = compile_dims or trace_dims(variant,
                                               system.logical_dims)
-    if shard is not None:
-        if program is not None or layout is not None:
-            raise ValueError("shard= requires a registry workload")
-        if sample_every:
-            raise ValueError("occupancy sampling cannot be sharded "
-                             "(samples are positional within one "
-                             "replay)")
     if program is None and layout is None:
         # Registry run: replay the materialized trace shared by every
         # design with this logical dimensionality and variant.
         name, trace = _materialized_trace(workload, size, logical_dims,
                                           variant)
-        if shard is not None:
-            index, count = shard
-            plan = ShardPlan.plan(len(trace), count)
-            if not 0 <= index < plan.shards:
-                raise ValueError(
-                    f"shard index {index} out of range for "
-                    f"{plan.shards}-epoch plan (requested {count})")
-            begin, end = plan.bounds[index], plan.bounds[index + 1]
-            trace = PackedTrace(trace.words[begin:end])
     else:
         if program is None:
             program = build_workload(workload, size)
@@ -414,38 +379,6 @@ def run_simulation(system: SystemConfig,
     return RunResult(system=system, workload=name,
                      cycles=cycles, ops=ops, stats=stats,
                      samples=samples)
-
-
-def merge_run_results(parts: List[RunResult]) -> RunResult:
-    """Deterministically merge per-epoch results of one sharded run.
-
-    Counters sum cell by cell through the stat groups' own tables (no
-    string parsing), cycles and ops sum across epochs, and derived
-    metrics (hit rates, traffic) recompute from the summed counters.
-    Addition is order-independent over ints, so serial and pool
-    executions of the same epoch plan merge to bit-identical
-    statistics.  Occupancy samples are positional within one replay
-    and refuse to merge.
-    """
-    if not parts:
-        raise ValueError("merge_run_results needs at least one part")
-    if len(parts) == 1:
-        return parts[0]
-    for part in parts:
-        if part.samples:
-            raise ValueError("occupancy samples cannot be merged "
-                             "across shards")
-    stats = StatRegistry()
-    for part in parts:
-        for group_name, group in part.stats.items():
-            target = stats.group(group_name)
-            for cell, value in group.counters().items():
-                target.add(cell, value)
-    return RunResult(system=parts[0].system,
-                     workload=parts[0].workload,
-                     cycles=sum(part.cycles for part in parts),
-                     ops=sum(part.ops for part in parts),
-                     stats=stats)
 
 
 def run_trace(system: SystemConfig, trace,

@@ -15,7 +15,6 @@ prefetched runner backed by the persistent cache.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from typing import Callable, Dict, Iterable, List, Optional
@@ -207,15 +206,6 @@ def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                         help="deterministic fault injection, e.g. "
                              "worker_crash:0.1,seed:7 (also read "
                              "from $REPRO_FAULTS)")
-    parser.add_argument("--shards", type=int, default=1,
-                        metavar="N",
-                        help="split each trace into N window-aligned "
-                             "cold-cache epochs, replayed one after "
-                             "another inside the point's own job and "
-                             "merged deterministically; --jobs runs "
-                             "points, not epochs, in parallel "
-                             "(default: 1 = whole-trace replay; "
-                             "sampled runs always replay whole)")
     parser.add_argument("--profile", action="store_true",
                         help="profile the sweep under cProfile: dump "
                              "OUTDIR/profile.pstats and print the top "
@@ -223,20 +213,6 @@ def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                              "stderr; pool workers under --jobs N "
                              "dump per-worker profiles that merge "
                              "into the same file")
-
-
-def apply_shards(keys: List[RunKey], shards: int) -> List[RunKey]:
-    """Shard every shardable key of a plan.
-
-    Sampled keys (``sample_every > 0``) keep their positional
-    occupancy semantics and stay whole-trace; everything else replays
-    as ``shards`` cold-cache epochs.
-    """
-    if shards <= 1:
-        return keys
-    return [key if key.sample_every
-            else dataclasses.replace(key, shards=shards)
-            for key in keys]
 
 
 def runner_from_args(args: argparse.Namespace,
@@ -248,8 +224,7 @@ def runner_from_args(args: argparse.Namespace,
         os.path.join(args.outdir, TRACECACHE_DIRNAME)
     return ExperimentRunner(verbose=verbose, jobs=args.jobs,
                             cache_dir=cache_dir, refresh=args.refresh,
-                            trace_dir=trace_dir,
-                            shards=getattr(args, "shards", 1))
+                            trace_dir=trace_dir)
 
 
 def supervisor_from_args(args: argparse.Namespace,
@@ -320,8 +295,7 @@ def figure_runner(name: str,
         # Profiling covers the simulation sweep (the figure's own run
         # loop afterwards is pure memo hits, not worth the overhead).
         from ..common.profile_util import profiled
-        plan = apply_shards(planner(),
-                            getattr(args, "shards", 1))
+        plan = planner()
         with profiled(args.outdir, enabled=args.profile):
             run_supervised(supervisor_from_args(args, runner, name),
                            plan)

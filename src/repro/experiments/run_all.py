@@ -49,8 +49,7 @@ from ..core import kernels
 from ..core.simulator import trace_cache_info
 from ..sw.tracestore import TRACECACHE_DIRNAME
 from . import faults
-from .plans import UNPLANNED, apply_shards, describe_trace_info, \
-    plan_for
+from .plans import UNPLANNED, describe_trace_info, plan_for
 from .runner import (
     RUNCACHE_DIRNAME,
     ExperimentRunner,
@@ -180,8 +179,7 @@ def run_all(outdir: str = "results",
             resume: bool = False,
             max_retries: int = 2,
             run_timeout: Optional[float] = None,
-            inject_faults: Optional[str] = None,
-            shards: int = 1) \
+            inject_faults: Optional[str] = None) \
         -> Dict[str, Dict[str, float]]:
     """Run every (or the selected) experiment; returns the summary.
 
@@ -204,11 +202,6 @@ def run_all(outdir: str = "results",
         inject_faults: deterministic fault-injection spec (see
             :mod:`repro.experiments.faults`); ``None`` leaves the
             ``REPRO_FAULTS`` environment arming untouched.
-        shards: replay each unsampled trace as this many window-aligned
-            cold-cache epochs, one after another inside the point's
-            own job (``jobs`` parallelizes points, not epochs), merged
-            deterministically (see :class:`RunKey`); 1 keeps the
-            classic whole-trace replay.
 
     Raises:
         SweepInterrupted: SIGINT/SIGTERM stopped the sweep (the
@@ -222,7 +215,7 @@ def run_all(outdir: str = "results",
         else None
     runner = ExperimentRunner(verbose=verbose, jobs=jobs,
                               cache_dir=cache_dir, refresh=refresh,
-                              trace_dir=trace_dir, shards=shards)
+                              trace_dir=trace_dir)
     experiments = _experiments(runner)
     selected = [name for name in experiments
                 if not only or name in only]
@@ -230,7 +223,7 @@ def run_all(outdir: str = "results",
     # figures up front, dedupe, and fill the runner's memo (from the
     # persistent cache where possible, worker processes otherwise);
     # the per-figure run loops below then replay them as memo hits.
-    plan = apply_shards(plan_for(selected), shards)
+    plan = plan_for(selected)
     if plan:
         if verbose:
             print(f"== prefetch: {len(plan)} unique simulation points "
@@ -313,14 +306,6 @@ def main(argv: Optional[List[str]] = None) -> None:
                         help="deterministic fault injection, e.g. "
                              "worker_crash:0.1,seed:7 (also read "
                              "from $REPRO_FAULTS)")
-    parser.add_argument("--shards", type=int, default=1,
-                        metavar="N",
-                        help="split each trace into N window-aligned "
-                             "cold-cache epochs, replayed one after "
-                             "another inside the point's own job and "
-                             "merged deterministically; --jobs runs "
-                             "points, not epochs, in parallel "
-                             "(default: 1)")
     parser.add_argument("--dry-run", action="store_true",
                         help="simulate nothing: print the replay-"
                              "engine dispatch (kernel/object) "
@@ -352,8 +337,7 @@ def main(argv: Optional[List[str]] = None) -> None:
                           resume=args.resume,
                           max_retries=args.max_retries,
                           run_timeout=args.run_timeout,
-                          inject_faults=args.inject_faults,
-                          shards=args.shards)
+                          inject_faults=args.inject_faults)
     except SweepInterrupted as exc:
         print(f"interrupted: {exc}\n(rerun with --resume to pick up "
               f"where this sweep stopped)", file=sys.stderr)

@@ -4,15 +4,14 @@ Several figures reuse the same simulation points (e.g. the 1 MB-LLC
 baseline appears in Figs. 11, 12, 14, 16); the runner caches completed
 :class:`RunResult` objects per configuration key so a full-suite
 regeneration simulates each point exactly once.  On top of the
-in-process memo this module provides:
-
-* a **persistent run cache** (pickles under ``results/.runcache/`` by
-  default, keyed by a stable hash of the :class:`RunKey` plus a
-  fingerprint of the fully-resolved :class:`SystemConfig`) so re-runs
-  and partial sweeps skip already-simulated points across processes;
-* a **process-pool scheduler** (:meth:`ExperimentRunner.prefetch`) that
-  takes the deduplicated set of points a figure suite needs and fans
-  the uncached ones out over ``multiprocessing`` workers.
+in-process memo this module provides a **persistent run cache**
+(pickles under ``results/.runcache/`` by default, keyed by a stable
+hash of the :class:`RunKey` plus a fingerprint of the fully-resolved
+:class:`SystemConfig`) so re-runs and partial sweeps skip
+already-simulated points across processes.
+:class:`repro.experiments.supervisor.Supervisor` fans a plan's
+uncached points out over worker processes and hands the results back
+through :meth:`ExperimentRunner.record_result`.
 
 Every path funnels through :func:`simulate_run_key`, so parallel,
 cached, and sequential executions produce bit-identical statistics.
@@ -23,28 +22,20 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import multiprocessing
 import os
 import pickle
 import sys
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..common.config import MemoryConfig, SystemConfig, apply_overrides
 from ..common.errors import LockTimeout
 from ..common.locking import file_lock, lock_path_for
-from ..common.profile_util import maybe_profile_worker
-from ..common.types import ShardPlan
 from ..core.simulator import (
     RunResult,
     configure_trace_store,
-    ensure_trace,
-    hold_traces,
-    merge_run_results,
-    reset_trace_counters,
     run_simulation,
-    trace_cache_info,
     trace_dims,
 )
 from ..core.system import make_resident_system, make_system
@@ -94,13 +85,6 @@ class RunKey:
     memory: str  # "default" or "fast"
     sample_every: int
     overrides: Tuple[Tuple[str, object], ...] = ()
-    #: Epoch count of the sharded replay (see
-    #: :func:`repro.core.simulator.run_simulation`'s ``shard=``): the
-    #: packed trace splits at window-aligned boundaries into this many
-    #: cold-cache epochs whose stats merge deterministically.  1 (the
-    #: default) is the classic whole-trace replay.  Incompatible with
-    #: ``sample_every``.
-    shards: int = 1
     trace: str = ""
 
 
@@ -126,20 +110,8 @@ def system_for_key(key: RunKey) -> SystemConfig:
     return system
 
 
-def shard_plan_for(key: RunKey) -> ShardPlan:
-    """The epoch plan a sharded key replays (materializes the trace).
-
-    A pure function of the trace length and ``key.shards``, so the
-    parent scheduler, serial fallback, and every pool worker cut the
-    same boundaries independently.
-    """
-    _, trace = ensure_trace(*trace_key_for(key))
-    return ShardPlan.plan(len(trace), key.shards)
-
-
-def replay_key(key: RunKey,
-               shard: Optional[Tuple[int, int]] = None) -> RunResult:
-    """Replay ``key``'s trace on its system, or one epoch of it.
+def replay_key(key: RunKey) -> RunResult:
+    """Replay ``key``'s trace on its system.
 
     Uncached: no memo, run cache or journal.  Every execution path
     bottoms out here, and an experiment called without a runner
@@ -147,26 +119,18 @@ def replay_key(key: RunKey,
     """
     return run_simulation(system_for_key(key), workload=key.workload,
                           size=key.size, sample_every=key.sample_every,
-                          shard=shard, variant=key.trace)
+                          variant=key.trace)
 
 
 def simulate_run_key(key: RunKey) -> RunResult:
     """Execute one simulation point (the single source of truth).
 
     Sequential runs, pool workers, and cache refills all call this, so
-    every execution path yields bit-identical statistics.  Sharded
-    keys replay their epochs serially here and merge — the reference
-    the pool execution must (and does) match bit for bit.
+    every execution path yields bit-identical statistics.  It is
+    :func:`replay_key` under the name that counts a point the runner
+    or the supervisor simulated.
     """
-    if key.shards <= 1:
-        return replay_key(key)
-    if key.sample_every:
-        raise ValueError("sample_every and shards>1 are mutually "
-                         "exclusive (samples are positional within "
-                         "one replay)")
-    plan = shard_plan_for(key)
-    return merge_run_results([replay_key(key, (i, key.shards))
-                              for i in range(plan.shards)])
+    return replay_key(key)
 
 
 def config_fingerprint(system: SystemConfig) -> str:
@@ -190,12 +154,9 @@ def cache_key(key: RunKey) -> str:
         # field existed, keeping pre-existing cache entries and journal
         # identities valid.
         key_fields.pop("overrides", None)
-    if key_fields.get("shards", 1) <= 1:
-        # Same compatibility rule for the sharding field: unsharded
-        # keys keep their pre-existing hashes.
-        key_fields.pop("shards", None)
     if not key_fields.get("trace"):
-        # ... and for the trace field: protocol-default traces too.
+        # Same compatibility rule for the trace field: protocol-default
+        # traces keep their pre-existing hashes.
         key_fields.pop("trace", None)
     payload = {
         "format": CACHE_FORMAT_VERSION,
@@ -361,36 +322,13 @@ def trace_key_for(key: RunKey) -> Tuple[str, str, int, str]:
     return key.workload, key.size, dims, key.trace
 
 
-def _pool_job(
-        job: Tuple[RunKey, Optional[int]]
-) -> Tuple[RunKey, Optional[int], RunResult, float, int,
-           Dict[str, int]]:
-    """Worker-side wrapper: one key (or one epoch of one sharded key).
-
-    ``job`` is ``(key, None)`` for a whole simulation point or
-    ``(key, index)`` for epoch ``index`` of ``key.shards``; the parent
-    merges epoch parts in index order.  Also reports the worker's pid
-    and its cumulative trace-cache counters, so the parent can verify
-    that forked workers replayed inherited traces instead of
-    regenerating them.
-    """
-    key, index = job
-    started = time.time()
-    with maybe_profile_worker():
-        if index is None:
-            result = simulate_run_key(key)
-        else:
-            result = replay_key(key, (index, key.shards))
-    return (key, index, result, time.time() - started, os.getpid(),
-            trace_cache_info())
-
-
 class ExperimentRunner:
     """Builds systems, runs simulations, memoizes and caches results.
 
     Args:
         verbose: log each simulated (or disk-recalled) point to stderr.
-        jobs: default worker-process count for :meth:`prefetch`.
+        jobs: worker-process count a :class:`Supervisor` fans this
+            runner's plans out over.
         cache_dir: directory of the persistent run cache; ``None``
             (the default) keeps the runner purely in-memory.
         refresh: ignore existing persistent entries (they are
@@ -403,18 +341,13 @@ class ExperimentRunner:
     def __init__(self, verbose: bool = False, jobs: int = 1,
                  cache_dir: Optional[str] = None,
                  refresh: bool = False,
-                 trace_dir: Optional[str] = None,
-                 shards: int = 1) -> None:
+                 trace_dir: Optional[str] = None) -> None:
         self._cache: Dict[RunKey, RunResult] = {}
         self._verbose = verbose
         self._jobs = max(1, int(jobs))
-        self._shards = max(1, int(shards))
         self._disk = RunCache(cache_dir) if cache_dir else None
         self._refresh = refresh
         self._info = CacheInfo()
-        # Cumulative trace-cache counters per worker pid (last snapshot
-        # wins; snapshots are monotone within one worker's lifetime).
-        self._worker_traces: Dict[int, Dict[str, int]] = {}
         if trace_dir is not None:
             configure_trace_store(trace_dir)
 
@@ -429,16 +362,7 @@ class ExperimentRunner:
                                    resident, memory, sample_every))
 
     def run_key(self, key: RunKey) -> RunResult:
-        """Simulate (or recall) the point ``key`` names.
-
-        An unsharded key inherits the runner's default shard count
-        (sampled points always replay whole-trace), as the planned
-        sweep's keys did, so figures re-deriving a prefetched plan
-        through here land on the same memo entries.
-        """
-        if self._shards > 1 and key.shards == 1 \
-                and not key.sample_every:
-            key = dataclasses.replace(key, shards=self._shards)
+        """Simulate (or recall) the point ``key`` names."""
         cached = self._cache.get(key)
         if cached is not None:
             self._info.memory_hits += 1
@@ -455,99 +379,6 @@ class ExperimentRunner:
         self._log(key, result, seconds=time.time() - started)
         self._store(key, result)
         return result
-
-    def prefetch(self, keys: Iterable[RunKey],
-                 jobs: Optional[int] = None) -> int:
-        """Ensure every key is memo-resident; returns points simulated.
-
-        Deduplicates ``keys``, satisfies what it can from the memo and
-        the persistent cache, and fans the remaining unique points out
-        over ``jobs`` worker processes (the runner's default when not
-        given).  After this returns, :meth:`run` for any of the keys is
-        a memo hit.
-        """
-        jobs = self._jobs if jobs is None else max(1, int(jobs))
-        pending: List[RunKey] = []
-        for key in dict.fromkeys(keys):
-            if key in self._cache:
-                continue
-            result = self._load_from_disk(key)
-            if result is not None:
-                self._info.disk_hits += 1
-                self._cache[key] = result
-                self._log(key, result, seconds=0.0, source="runcache")
-                continue
-            pending.append(key)
-        if not pending:
-            return 0
-        self._info.misses += len(pending)
-        if jobs == 1:
-            for key in pending:
-                started = time.time()
-                result = simulate_run_key(key)
-                self._log(key, result, seconds=time.time() - started)
-                self._store(key, result)
-            return len(pending)
-        # Every distinct trace the pending points replay stays
-        # memo-resident in the parent until the pool has forked, so
-        # workers inherit the packed buffers copy-on-write.
-        with hold_traces(trace_key_for(key) for key in pending):
-            return self._run_pool(pending, jobs)
-
-    def _run_pool(self, pending: List[RunKey], jobs: int) -> int:
-        """Simulate ``pending`` over a fork pool of ``jobs`` workers."""
-        # Sharded keys fan out one pool job per epoch (the trace is
-        # already materialized, so the epoch plan is a cheap length
-        # computation); their parts merge in the parent as they
-        # complete.  Everything else is one job per key.
-        jobs_list: List[Tuple[RunKey, Optional[int]]] = []
-        shard_parts: Dict[RunKey, List[Optional[RunResult]]] = {}
-        for key in pending:
-            epochs = shard_plan_for(key).shards if key.shards > 1 \
-                else 1
-            if epochs > 1:
-                shard_parts[key] = [None] * epochs
-                jobs_list.extend((key, i) for i in range(epochs))
-            else:
-                jobs_list.append((key, None))
-        if len(jobs_list) == 1:
-            key = pending[0]
-            started = time.time()
-            result = simulate_run_key(key)
-            self._log(key, result, seconds=time.time() - started)
-            self._store(key, result)
-            return 1
-        # POSIX fork keeps workers importable regardless of how the
-        # parent was launched (pytest, -m, REPL); fall back otherwise.
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            ctx = multiprocessing.get_context()
-        workers = min(jobs, len(jobs_list))
-        if self._verbose:
-            print(f"  scheduling {len(pending)} simulation points "
-                  f"({len(jobs_list)} jobs) over {workers} workers",
-                  file=sys.stderr)
-        # Workers zero their (inherited) trace counters at fork, so the
-        # snapshots they report count post-fork activity only.
-        with ctx.Pool(processes=workers,
-                      initializer=reset_trace_counters) as pool:
-            for key, index, result, seconds, pid, traces in \
-                    pool.imap_unordered(_pool_job, jobs_list):
-                self._worker_traces[pid] = traces
-                if index is not None:
-                    parts = shard_parts[key]
-                    parts[index] = result
-                    if any(part is None for part in parts):
-                        continue
-                    result = merge_run_results(parts)
-                    self._log(key, result, seconds=seconds,
-                              source=f"{len(parts)} shards")
-                    self._store(key, result)
-                    continue
-                self._log(key, result, seconds=seconds)
-                self._store(key, result)
-        return len(pending)
 
     # -- cache management ----------------------------------------------------
 
@@ -596,16 +427,6 @@ class ExperimentRunner:
         self._log(key, result, seconds=seconds)
         self._store(key, result)
 
-    def worker_trace_info(self) -> Dict[int, Dict[str, int]]:
-        """Last trace-cache snapshot reported by each pool worker pid.
-
-        A cold parallel sweep whose traces were pre-materialized shows
-        ``generated == 0`` in every snapshot: workers replayed the
-        inherited buffers rather than re-walking kernels.
-        """
-        return {pid: dict(info)
-                for pid, info in self._worker_traces.items()}
-
     @property
     def runs_completed(self) -> int:
         return len(self._cache)
@@ -642,8 +463,3 @@ class ExperimentRunner:
               f"{result.cycles} cycles "
               f"[{seconds:.1f}s]{origin}",
               file=sys.stderr)
-
-    @staticmethod
-    def _memory_config(variant: str) -> MemoryConfig:
-        """Backwards-compatible alias for :func:`memory_config`."""
-        return memory_config(variant)

@@ -1,11 +1,13 @@
 """Fault-tolerant supervision for the experiment engine.
 
-The scheduler in :mod:`repro.experiments.runner` fans a sweep's
-deduplicated simulation points out over a ``multiprocessing`` pool —
-fast, but brittle: one OOM-killed worker lost the whole ``run_all``,
-a hung worker stalled it forever, and Ctrl-C ended in a traceback
-storm with no record of what had finished.  The :class:`Supervisor`
-wraps pool dispatch with the machinery a multi-hour campaign needs:
+The :class:`Supervisor` is the one scheduler of a sweep: it fans the
+deduplicated simulation points of a plan out over a
+``multiprocessing`` pool, dispatching the next point as soon as a
+worker hands one back.  A bare pool is brittle — one OOM-killed
+worker would lose the whole ``run_all``, a hung worker would stall it
+forever, and Ctrl-C would end in a traceback storm with no record of
+what had finished — so the supervisor wraps dispatch with the
+machinery a multi-hour campaign needs:
 
 * **per-run wall-clock timeouts** and **heartbeat monitoring** — each
   supervised worker touches a per-run heartbeat file from a daemon
@@ -351,15 +353,19 @@ def _supervised_entry(key: RunKey, ck: str, attempt: int,
 class _Task:
     """Parent-side bookkeeping for one dispatched run."""
 
-    __slots__ = ("key", "ck", "attempt", "result", "dispatched")
+    __slots__ = ("key", "ck", "attempt", "result", "dispatched",
+                 "finished")
 
     def __init__(self, key: RunKey, ck: str, attempt: int,
-                 result: Any, dispatched: float) -> None:
+                 dispatched: float) -> None:
         self.key = key
         self.ck = ck
         self.attempt = attempt
-        self.result = result
+        self.result: Any = None
         self.dispatched = dispatched
+        #: Set by the pool's result thread when the run returned or
+        #: raised (a crashed or hung worker never sets it).
+        self.finished = False
 
 
 class Supervisor:
@@ -378,7 +384,9 @@ class Supervisor:
             file.
         heartbeat_timeout: how long a dispatched run may go without a
             heartbeat before its worker is declared dead or hung.
-        poll_interval: parent poll cadence.
+        poll_interval: how often the pool loop checks heartbeats and
+            deadlines (a completed run wakes it at once) and the
+            serial loop re-checks a backed-off retry.
         resume: replay the journal first and report previously
             completed points as resumed (their results come from the
             persistent run cache as usual).
@@ -593,32 +601,24 @@ class Supervisor:
         hb_dir = tempfile.mkdtemp(prefix="repro-heartbeats-")
         pool = self._make_pool(workers, fault_spec)
         outstanding: Dict[str, _Task] = {}
+        # Set from the pool's result thread whenever a run returns or
+        # raises, so a freed worker is refilled without waiting out the
+        # poll interval.
+        wake = threading.Event()
         try:
             while (queue or outstanding) \
                     and self._stop_signal is None:
-                now = self._clock()
-                # Dispatch up to the worker count so a queued-but-
-                # unstarted task is never mistaken for a hung one.
-                queue.sort(key=lambda item: item[0])
-                while queue and len(outstanding) < workers \
-                        and queue[0][0] <= now:
-                    _, ck, key = queue.pop(0)
-                    attempts[ck] += 1
-                    self._journal_run(key, ck, "running",
-                                      attempt=attempts[ck],
-                                      mode="pool")
-                    self._clear_heartbeat(hb_dir, ck)
-                    handle = pool.apply_async(
-                        _supervised_entry,
-                        (key, ck, attempts[ck], hb_dir,
-                         self._hb_interval))
-                    outstanding[ck] = _Task(key, ck, attempts[ck],
-                                            handle, now)
-                # Reap finished tasks first, then look for stragglers.
+                # Cleared before the reap: a run finishing after this
+                # point sets it again and cuts the wait below short.
+                wake.clear()
+                # Reap finished tasks first, then look for stragglers,
+                # then refill the freed workers.
                 for ck in [ck for ck, task in outstanding.items()
-                           if task.result.ready()]:
+                           if task.finished]:
                     task = outstanding.pop(ck)
                     try:
+                        # The result thread flags a task just before it
+                        # marks the result ready; get() spans the gap.
                         _, result, seconds, _pid = task.result.get()
                     except Exception as exc:  # noqa: BLE001
                         self._handle_failure(task.key, ck, exc,
@@ -626,6 +626,7 @@ class Supervisor:
                         continue
                     self._complete(task.key, ck, result, seconds,
                                    task.attempt, report)
+                now = self._clock()
                 culprit = self._find_straggler(outstanding, hb_dir,
                                                now)
                 if culprit is not None:
@@ -633,8 +634,16 @@ class Supervisor:
                         pool, culprit, outstanding, attempts, queue,
                         report, hb_dir, workers, fault_spec)
                     continue
+                # Dispatch up to the worker count so a queued-but-
+                # unstarted task is never mistaken for a hung one.
+                queue.sort(key=lambda item: item[0])
+                while queue and len(outstanding) < workers \
+                        and queue[0][0] <= now:
+                    _, ck, key = queue.pop(0)
+                    outstanding[ck] = self._dispatch(
+                        pool, key, ck, attempts, hb_dir, now, wake)
                 if queue or outstanding:
-                    self._sleep(self._poll)
+                    wake.wait(self._poll)
         finally:
             if self._stop_signal is not None:
                 pool.terminate()
@@ -642,6 +651,26 @@ class Supervisor:
                 pool.close()
             pool.join()
             shutil.rmtree(hb_dir, ignore_errors=True)
+
+    def _dispatch(self, pool, key: RunKey, ck: str,
+                  attempts: Dict[str, int], hb_dir: str, now: float,
+                  wake: threading.Event) -> _Task:
+        """Hand one run to the pool; its completion sets ``wake``."""
+        attempts[ck] += 1
+        self._journal_run(key, ck, "running", attempt=attempts[ck],
+                          mode="pool")
+        self._clear_heartbeat(hb_dir, ck)
+        task = _Task(key, ck, attempts[ck], now)
+
+        def finished(_outcome) -> None:
+            task.finished = True
+            wake.set()
+
+        task.result = pool.apply_async(
+            _supervised_entry,
+            (key, ck, attempts[ck], hb_dir, self._hb_interval),
+            callback=finished, error_callback=finished)
+        return task
 
     def _find_straggler(self, outstanding: Dict[str, _Task],
                         hb_dir: str, now: float) -> Optional[str]:

@@ -10,8 +10,8 @@ matching the other figures' presentation.
 
 The tier variants ride on :class:`RunKey` overrides (``tier.mode``,
 ``tier.size_bytes``, ...), the same dotted-path vocabulary the
-simulation service accepts, so every point memoizes and shards like
-any other planned configuration.
+simulation service accepts, so every point memoizes, caches and
+fans out like any other planned configuration.
 """
 
 from __future__ import annotations

@@ -188,7 +188,6 @@ class SimulationService:
         self._draining = False
         self._dispatcher: Optional["asyncio.Task[None]"] = None
         self._avg_batch_seconds = 1.0
-        self._batches_done = 0
 
     # -- introspection -------------------------------------------------------
 
@@ -367,7 +366,6 @@ class SimulationService:
         seconds = max(time.monotonic() - started, 1e-4)
         self._avg_batch_seconds += \
             0.4 * (seconds - self._avg_batch_seconds)
-        self._batches_done += 1
         for job in batch:
             future = self._inflight.pop(job.key, None)
             result = self._runner.lookup(job.key) \

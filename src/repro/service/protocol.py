@@ -56,10 +56,6 @@ MEMORY_VARIANTS = ("default", "fast")
 #: point, not a sweep description).
 MAX_OVERRIDES = 16
 
-#: Hard cap on sharded-replay epochs per request; epochs beyond this
-#: add merge overhead without more parallelism on any plausible host.
-MAX_SHARDS = 64
-
 
 @dataclass(frozen=True)
 class SimRequest:
@@ -89,7 +85,7 @@ def parse_request(payload: Any) -> SimRequest:
         raise ValidationFailed("request body must be a JSON object")
     unknown = set(payload) - {"design", "workload", "size", "llc_mb",
                               "resident", "memory", "sample_every",
-                              "overrides", "shards", "stats"}
+                              "overrides", "stats"}
     if unknown:
         raise ValidationFailed(
             f"unknown request field(s): {', '.join(sorted(unknown))}")
@@ -131,21 +127,11 @@ def parse_request(payload: Any) -> SimRequest:
     if len(overrides) > MAX_OVERRIDES:
         raise ValidationFailed(
             f"at most {MAX_OVERRIDES} overrides per request")
-    shards = payload.get("shards", 1)
-    if not isinstance(shards, int) or isinstance(shards, bool) \
-            or not 1 <= shards <= MAX_SHARDS:
-        raise ValidationFailed(
-            f"shards must be an integer in [1, {MAX_SHARDS}]")
-    if shards > 1 and sample_every:
-        raise ValidationFailed(
-            "sample_every and shards>1 are mutually exclusive "
-            "(occupancy samples are positional within one replay)")
     want_stats = _bool_field(payload, "stats")
     key = RunKey(design, workload, size, llc_mb, resident, variant,
                  sample_every,
                  tuple(sorted((str(k), v)
-                              for k, v in overrides.items())),
-                 shards)
+                              for k, v in overrides.items())))
     # Stage two: a full config build re-runs every dataclass invariant,
     # and apply_overrides (inside system_for_key) validates each dotted
     # override path and value type.
@@ -171,8 +157,6 @@ def request_payload(key: RunKey, want_stats: bool = False) -> Dict[str, Any]:
     }
     if key.overrides:
         body["overrides"] = dict(key.overrides)
-    if key.shards > 1:
-        body["shards"] = key.shards
     if want_stats:
         body["stats"] = True
     return body

@@ -37,7 +37,6 @@ from repro.common.types import (
     Orientation,
     PackedTrace,
     Request,
-    ShardPlan,
 )
 from repro.core import kernels
 from repro.core.cpu import TraceDrivenCpu
@@ -205,11 +204,9 @@ def _mixed_hit_miss():
 
 
 def _sharded_epochs():
-    """Each epoch of a 2-way ShardPlan, replayed from a cold cache."""
+    """Both halves of a miss stream, each replayed from a cold cache."""
     reqs = _wide_misses(32_768)
-    plan = ShardPlan.plan(len(reqs), 2)
-    return [reqs[begin:end]
-            for begin, end in zip(plan.bounds, plan.bounds[1:])]
+    return [reqs[:16_384], reqs[16_384:]]
 
 
 #: Synthetic identity cases: name -> (design, epochs builder, AGE_LIMIT

@@ -9,8 +9,6 @@ runner must regenerate all three without simulating or walking a trace.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.core.simulator import (
@@ -101,14 +99,6 @@ class TestVariantTable:
             run_simulation(make_system("1P1L", 1.0),
                            program=build_workload("sobel", "small"),
                            variant="legacy")
-
-    def test_sharded_runner_stamps_variant_keys(self):
-        runner = ExperimentRunner(shards=2)
-        key = RunKey("1P1L", "sobel", "small", 1.0, False, "default", 0,
-                     trace="legacy")
-        result = runner.run_key(key)
-        assert runner.lookup(dataclasses.replace(key, shards=2)) \
-            is result
 
     def test_store_names_variants_apart(self):
         store = TraceStore("root")

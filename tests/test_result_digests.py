@@ -42,7 +42,7 @@ def label(key: RunKey) -> str:
     return "|".join((key.design, key.workload, key.size,
                      repr(key.llc_mb), str(int(key.resident)),
                      key.memory, str(key.sample_every), overrides,
-                     str(key.shards), key.trace))
+                     key.trace))
 
 
 def planned_keys() -> List[RunKey]:

@@ -5,7 +5,7 @@ stages: path/field vocabulary, then dataclass invariants), the
 equivalence edges the design promises (size-0 flat == tier disabled,
 hybrid at cache_fraction 1.0 == pure cache mode, bit for bit), four-way
 replay-path bit-identity with a tier enabled, determinism across
-``--jobs``/``--shards``, and the tier's own counter semantics
+``--jobs``, and the tier's own counter semantics
 (TDRAM folded probe, RBLA install policy, flush draining).
 """
 
@@ -29,6 +29,7 @@ from repro.experiments.runner import (
     RunKey,
     simulate_run_key,
 )
+from repro.experiments.supervisor import Supervisor
 from repro.service.protocol import parse_request
 from repro.sw.tracegen import generate_packed_trace, generate_trace
 from repro.workloads.registry import build_workload
@@ -212,28 +213,21 @@ class TestTierReplayIdentity:
 
 
 class TestTierDeterminism:
-    def _key(self, shards=1):
-        return RunKey("1P2L", "sgemm", "small", 1.0, False, "default",
-                      0, tuple(sorted(HYBRID.items())), shards)
-
-    def test_sharded_replay_matches_whole_trace_structure(self):
-        """Sharded tier runs merge deterministically (two epochs in a
-        pool == two epochs serial, bit for bit)."""
-        key = self._key(shards=2)
-        serial = simulate_run_key(key)
-        again = simulate_run_key(key)
-        assert serial.cycles == again.cycles
-        assert serial.stats.flat() == again.stats.flat()
-
     def test_pool_matches_serial_with_tier_enabled(self):
-        key = self._key(shards=2)
-        serial = simulate_run_key(key)
-        runner = ExperimentRunner(jobs=2, shards=2)
-        assert runner.prefetch([key], jobs=2) == 1
-        pooled = runner.lookup(key)
-        assert pooled is not None
-        assert pooled.cycles == serial.cycles
-        assert pooled.stats.flat() == serial.stats.flat()
+        # Two keys: the supervisor runs a one-key queue serially.
+        keys = [RunKey("1P2L", workload, "small", 1.0, False, "default",
+                       0, tuple(sorted(HYBRID.items())))
+                for workload in ("sgemm", "sobel")]
+        runner = ExperimentRunner(jobs=2)
+        report = Supervisor(runner, handle_signals=False).supervise(keys)
+        assert report.simulated == 2
+        assert not report.degraded_serial
+        for key in keys:
+            serial = simulate_run_key(key)
+            pooled = runner.lookup(key)
+            assert pooled is not None
+            assert pooled.cycles == serial.cycles
+            assert pooled.stats.flat() == serial.stats.flat()
 
 
 # -- tier mechanics -----------------------------------------------------------
@@ -300,7 +294,8 @@ class TestTierMechanics:
             run_tier_modes,
         )
         runner = ExperimentRunner(verbose=False)
-        runner.prefetch(plan_tier_modes(["sgemm"], "small", 1.0))
+        Supervisor(runner, handle_signals=False).supervise(
+            plan_tier_modes(["sgemm"], "small", 1.0))
         result = run_tier_modes(runner, ["sgemm"], "small", 1.0)
         report = result.report()
         for label in LABELS:

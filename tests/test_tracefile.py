@@ -196,8 +196,8 @@ class TestMappedReads:
             read_packed_trace_mapped(str(path))
 
     def test_mapped_trace_pickles_as_owning_copy(self, tmp_path):
-        # Forked pool workers pickle shard traces; a memoryview is not
-        # picklable, so the round trip must rebuild an owning trace.
+        # A memoryview is not picklable, so a mapped trace's pickle
+        # round trip must rebuild an owning trace.
         path = tmp_path / "t.mdat"
         trace = self._write(path)
         _, mapped = read_packed_trace_mapped(str(path))
@@ -206,15 +206,15 @@ class TestMappedReads:
         assert isinstance(clone.words, array.array)
 
     def test_mapped_slices_stay_views(self, tmp_path):
-        # Shard slicing (simulator.py) slices trace.words directly;
-        # a memoryview slice must still replay and re-pickle.
+        # A trace built from a slice of a mapped trace's words keeps
+        # the memoryview; it must still replay and re-pickle.
         path = tmp_path / "t.mdat"
         trace = self._write(path)
         _, mapped = read_packed_trace_mapped(str(path))
-        shard = PackedTrace(mapped.words[1:])
-        assert isinstance(shard.words, memoryview)
-        assert list(shard) == list(trace)[1:]
-        assert pickle.loads(pickle.dumps(shard)) == shard
+        tail = PackedTrace(mapped.words[1:])
+        assert isinstance(tail.words, memoryview)
+        assert list(tail) == list(trace)[1:]
+        assert pickle.loads(pickle.dumps(tail)) == tail
 
     def test_mapped_replay_matches_copy_replay(self, tmp_path):
         from repro.sw.tracegen import generate_packed_trace

@@ -27,7 +27,6 @@ from repro.common.types import (
     Orientation,
     PackedTrace,
     Request,
-    ShardPlan,
 )
 from repro.core import kernels
 from repro.core.cpu import TraceDrivenCpu
@@ -312,11 +311,10 @@ class TestMissPath:
         assert set(compactions) == {1, 2}  # both L1 and L2
 
     def test_cold_cache_sharded_epochs_no_demotion(self, engines):
-        """Every cold-cache epoch of a sharded replay stays on the
-        kernel and bit-identical to the object path."""
+        """Both halves of a miss stream, each replayed from a cold
+        cache, stay on the kernel and bit-identical to the object
+        path."""
         reqs = _wide_miss_trace(8 * CHUNK)
-        plan = ShardPlan.plan(len(reqs), 2)
-        assert len(plan.bounds) == 3
-        for begin, end in zip(plan.bounds, plan.bounds[1:]):
-            _identity(_miss_system, reqs[begin:end])
+        for epoch in (reqs[:4 * CHUNK], reqs[4 * CHUNK:]):
+            _identity(_miss_system, epoch)
         assert engines == ["run_kernel"] * 2
