@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,7 @@ from repro.experiments.runner import (
     ExperimentRunner,
     RunKey,
     cache_key,
+    simulate_run_key,
 )
 from repro.experiments.supervisor import (
     JOURNAL_FORMAT_VERSION,
@@ -401,6 +403,141 @@ class TestPoolSupervision:
         assert report.degraded_serial
         assert report.simulated == len(KEYS)
         assert not report.failed
+
+
+POOL_KEYS = tuple(RunKey(design, workload, "small", 1.0, False,
+                         "default", 0)
+                  for design in ("1P1L", "1P2L", "2P2L")
+                  for workload in ("sobel", "htap1"))
+
+
+def _journal_runs(journal: RunJournal) -> list:
+    """The journal's run events, in the order the parent wrote them."""
+    with open(journal.path, encoding="utf-8") as handle:
+        records = [json.loads(line) for line in handle if line.strip()]
+    return [record for record in records if record.get("event") == "run"]
+
+
+def _assert_same_result(got, want) -> None:
+    assert got.cycles == want.cycles
+    assert got.ops == want.ops
+    assert got.stats.flat() == want.stats.flat()
+    assert got.samples == want.samples
+
+
+class TestPoolDispatch:
+    """The pool loop refills a worker as soon as a run completes,
+    never holds more runs than workers, and hands back results
+    identical to a serial replay whatever the key asks for."""
+
+    def test_completion_wakes_the_loop(self, tmp_path):
+        # A poll interval far longer than the whole sweep: only the
+        # completion callbacks can move the loop on to the next key.
+        runner = ExperimentRunner(jobs=2)
+        sup = make_supervisor(runner, tmp_path, poll_interval=60.0,
+                              heartbeat_timeout=120.0)
+        started = time.monotonic()
+        report = sup.supervise(POOL_KEYS)
+        assert time.monotonic() - started < 30.0
+        assert report.simulated == len(POOL_KEYS)
+        assert not report.failed
+
+    def test_failed_run_wakes_the_loop(self, tmp_path, monkeypatch):
+        real = sup_mod.simulate_run_key
+        bad = POOL_KEYS[0]
+
+        def broken_for_one(key):
+            if key == bad:
+                raise ConfigError("deterministically bad")
+            return real(key)
+
+        monkeypatch.setattr(sup_mod, "simulate_run_key", broken_for_one)
+        runner = ExperimentRunner(jobs=2)
+        sup = make_supervisor(runner, tmp_path, poll_interval=60.0,
+                              heartbeat_timeout=120.0)
+        started = time.monotonic()
+        report = sup.supervise(POOL_KEYS, strict=False)
+        assert time.monotonic() - started < 30.0
+        assert [key for key, _ in report.failed] == [bad]
+        assert report.simulated == len(POOL_KEYS) - 1
+        assert sup.journal.replay().states[cache_key(bad)] == "failed"
+
+    def test_never_more_runs_in_flight_than_workers(self, tmp_path):
+        runner = ExperimentRunner(jobs=2)
+        sup = make_supervisor(runner, tmp_path)
+        sup.supervise(POOL_KEYS)
+        in_flight = peak = 0
+        for record in _journal_runs(sup.journal):
+            if record["state"] == "running":
+                assert record["mode"] == "pool"
+                in_flight += 1
+                peak = max(peak, in_flight)
+            elif record["state"] in ("done", "failed"):
+                in_flight -= 1
+        assert in_flight == 0
+        assert peak == 2
+
+    def test_one_key_queue_runs_serially(self, tmp_path, monkeypatch):
+        def no_pool(self, workers, fault_spec):
+            raise AssertionError("a one-key queue forked a pool")
+
+        monkeypatch.setattr(Supervisor, "_make_pool", no_pool)
+        runner = ExperimentRunner(jobs=2)
+        sup = make_supervisor(runner, tmp_path)
+        report = sup.supervise(POOL_KEYS[:1])
+        assert report.simulated == 1
+        assert not report.degraded_serial
+        assert [record["mode"] for record in _journal_runs(sup.journal)
+                if record["state"] == "running"] == ["serial"]
+
+    def test_cached_points_never_reach_the_pool(self, tmp_path):
+        runner = ExperimentRunner(jobs=2)
+        runner.run_key(POOL_KEYS[0])
+        sup = make_supervisor(runner, tmp_path)
+        report = sup.supervise(POOL_KEYS[:3])
+        assert report.from_cache == 1
+        assert report.simulated == 2
+        dispatched = [record["ck"] for record in _journal_runs(sup.journal)
+                      if record["state"] == "running"]
+        assert sorted(dispatched) == sorted(cache_key(key)
+                                            for key in POOL_KEYS[1:3])
+
+    @pytest.mark.parametrize("keys", [
+        (RunKey("1P2L", "sobel", "small", 1.0, False, "default", 64),
+         RunKey("2P2L", "htap1", "small", 1.0, False, "default", 32)),
+        (RunKey("1P2L", "sgemm", "small", 1.0, False, "default", 0,
+                (), "legacy"),
+         RunKey("1P2L", "sgemm", "small", 1.0, False, "default", 0,
+                (), "tiled16")),
+        (RunKey("1P2L", "sobel", "small", 1.0, False, "default", 0,
+                (("cpu.mlp_window", 4),)),
+         RunKey("1P2L", "sobel", "small", 1.0, False, "default", 0,
+                (("cpu.mlp_window", 8),))),
+        (RunKey("1P1L", "sobel", "small", 1.0, False, "fast", 0),
+         RunKey("1P2L", "sobel", "small", 2.0, False, "fast", 0)),
+        (RunKey("1P1L", "sobel", "small", 1.0, True, "default", 0),
+         RunKey("2P2L", "sobel", "small", 1.0, True, "default", 0)),
+    ], ids=["sampled", "trace-variants", "overrides", "fast-memory",
+            "resident"])
+    def test_pool_matches_serial_replay(self, tmp_path, keys):
+        runner = ExperimentRunner(jobs=2)
+        report = make_supervisor(runner, tmp_path).supervise(keys)
+        assert report.simulated == len(keys)
+        for key in keys:
+            _assert_same_result(runner.lookup(key),
+                                simulate_run_key(key))
+
+    def test_pool_results_reach_the_run_cache(self, tmp_path):
+        cache_dir = str(tmp_path / ".runcache")
+        make_supervisor(ExperimentRunner(jobs=2, cache_dir=cache_dir),
+                        tmp_path).supervise(POOL_KEYS)
+        fresh = ExperimentRunner(cache_dir=cache_dir)
+        for key in POOL_KEYS:
+            _assert_same_result(fresh.run_key(key),
+                                simulate_run_key(key))
+        info = fresh.cache_info()
+        assert info.disk_hits == len(POOL_KEYS)
+        assert info.misses == 0
 
 
 class TestCrashResume:
