@@ -83,9 +83,9 @@ class Cache1P2L(CacheLevel):
     def predictor(self) -> Optional[OrientationPredictor]:
         """The dynamic-orientation predictor, if this level has one.
 
-        The kernel engine mirrors it into flat arrays
-        (:class:`repro.core.kernels._FlatPredictor`) sharing its
-        counter cells."""
+        The kernel engine mirrors its table into flat arrays
+        (:class:`repro.core.kernels._FlatPredictor`), trained in a pass
+        over each span's requests, and shares its counter cells."""
         return self._predictor
 
     # -- CPU-facing -------------------------------------------------------------

@@ -312,14 +312,8 @@ class Cache2P2L(CacheLevel):
 
     # -- introspection ---------------------------------------------------------------
 
-    def contains_block(self, tile: int) -> bool:
-        return tile in self._blocks
-
     def block_state(self, tile: int) -> BlockState:
         return self._blocks[tile]
-
-    def resident_blocks(self) -> int:
-        return len(self._blocks)
 
     def check_invariants(self) -> None:
         """Dirty lines must be present; presence masks are 8-bit."""

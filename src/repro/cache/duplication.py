@@ -73,18 +73,6 @@ def present_intersecting_lines(frames: Dict[int, int],
             if perp in frames]
 
 
-def _crossing_word(a: int, b: int) -> int:
-    """Global word id where perpendicular lines ``a`` and ``b`` cross."""
-    tile_a, orient_a, index_a = line_id_parts(a)
-    tile_b, orient_b, index_b = line_id_parts(b)
-    if tile_a != tile_b or orient_a is orient_b:
-        raise ValueError("lines do not cross")
-    words_a = line_words(a)
-    # Along line a, position k holds the word whose perpendicular index
-    # is k; the crossing is at b's in-tile index.
-    return words_a[index_b]
-
-
 def check_duplication_invariant(frames: Dict[int, int]) -> List[str]:
     """Validate the Fig. 9 invariant over a frame map.
 

@@ -33,8 +33,10 @@ from typing import Dict
 from ..common.stats import StatGroup
 from ..common.types import Orientation, line_id_of
 
-#: Shared defaults, also read by the flat-array predictor mirror in
-#: :mod:`repro.core.kernels` (``_FlatPredictor``).
+#: Defaults.  The kernel's flat mirror
+#: (:class:`repro.core.kernels._FlatPredictor`) copies an instance's
+#: values through the properties below and trains its own table, in a
+#: pass over each replay span, exactly as :meth:`observe_and_predict`.
 DEFAULT_THRESHOLD = 2
 DEFAULT_SATURATION = 4
 DEFAULT_TABLE_ENTRIES = 64
@@ -69,7 +71,7 @@ class OrientationPredictor:
         self._c_predictions = stats.counter("predictions")
         self._c_overrides = stats.counter("overrides")
 
-    # -- kernel-mirror exposure (read by kernels._FlatPredictor) ----------
+    # -- read by the kernel's flat mirror (kernels._FlatPredictor) -------
 
     @property
     def threshold(self) -> int:

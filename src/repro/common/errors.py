@@ -132,15 +132,6 @@ class CircuitOpen(ServiceError):
         self.retry_after = retry_after
 
 
-class WorkerRestartStorm(TransientRunError):
-    """A serving worker slot crash-looped past its restart budget.
-
-    Raised/recorded by the pre-fork master when one worker slot keeps
-    dying faster than its backoff window allows; the master responds by
-    degrading to fewer workers rather than hot-looping forks.
-    """
-
-
 class SweepInterrupted(ExperimentError):
     """A sweep was stopped by SIGINT/SIGTERM; journal was flushed.
 

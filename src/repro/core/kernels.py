@@ -50,11 +50,14 @@ Coverage: LRU replacement throughout; physically 1-D levels
 hierarchy; a physically 2-D block store (``Cache2P2L``, dense or
 sparse fill) as the last level (:class:`_Kernel2P2L`, which packs each
 block's presence and dirty line masks into one 16-bit word per slot);
-and dynamic orientation prediction on a 1P2L L1 (the predictor table
-mirrored into flat arrays by :class:`_FlatPredictor`, sharing the
-object predictor's counter cells).  A physically 2-D L1 or mid-level,
-non-LRU policies and a prefetching 1-D L1 replay on the object path
-(see :func:`supports`).  Occupancy-sampled runs stay on the kernel:
+and dynamic orientation prediction on a 1P2L L1.  The predictor reads
+only the trace, never the cache state, so :class:`_FlatPredictor`
+trains on each span's predecoded requests before the span replays and
+rewrites the scalar requests whose prediction overrides the static
+preference; static and dynamic 2-D L1s then replay on the same loop.
+A physically 2-D L1 or mid-level, non-LRU policies and a prefetching
+1-D L1 replay on the object path (see :func:`supports`).
+Occupancy-sampled runs stay on the kernel:
 :meth:`KernelEngine.replay` walks the trace in sampling-stride spans
 and answers :meth:`KernelEngine.occupancy_by_level` from the flat
 stores between them.
@@ -63,7 +66,7 @@ stores between them.
 from __future__ import annotations
 
 from array import array
-from functools import lru_cache, partial
+from functools import lru_cache
 from heapq import heappop, heappush
 from typing import Dict, List, Tuple
 
@@ -85,11 +88,6 @@ KERNEL_ENABLED = True
 #: hold, so saturation never corrupts eviction order.  Tests shrink it
 #: to force compaction on tiny traces.
 AGE_LIMIT = 1 << 46
-
-# LAT_HIST_KEYS (bucket = latency.bit_length()) is shared by run and
-# run_kernel so the histograms are bit-comparable across paths; the canonical definition lives in repro.common.stats (the
-# service layer reuses the same scheme) and is re-exported here for
-# existing importers.
 
 _SCALAR = AccessWidth.SCALAR
 _VECTOR = AccessWidth.VECTOR
@@ -304,19 +302,6 @@ def _predecode_1l(words):
     return packed, demand
 
 
-def _predecode_refs(words):
-    """Static reference ids (packed-word bits 0-15), one per request.
-
-    Only the dynamic-orientation loop needs these — the static loops
-    never look at the reference id — so they decode in a separate
-    (numpy-gated) pass rather than widening the shared predecode.
-    """
-    if _np is not None:
-        return (_np.frombuffer(words, dtype=_np.uint64)
-                & _np.uint64(0xFFFF)).tolist()
-    return [w & 0xFFFF for w in words]
-
-
 class _FlatPredictor:
     """Flat-array mirror of :class:`OrientationPredictor`.
 
@@ -355,56 +340,88 @@ class _FlatPredictor:
         (self.c_table_evictions, self.c_static_fallbacks,
          self.c_predictions, self.c_overrides) = predictor.counter_cells
 
-    def observe(self, ref: int, row_line: int, col_line: int,
-                static_bit: int) -> int:
-        """Train on one scalar access; returns the orientation bit.
+    def predict_span(self, words, packed, start: int, stop: int) -> None:
+        """Train on the scalar requests of ``packed[start:stop]`` in
+        program order, rewriting each one the prediction overrides.
 
-        Mirrors ``OrientationPredictor.observe_and_predict`` with line
-        ids precomputed by the caller (the predecoded loop already has
-        both) and orientations as line-id bits (row=0 / column=1).
+        Mirrors ``OrientationPredictor.observe_and_predict`` once per
+        scalar request: the reference id is the trace word's low 16
+        bits, the row and column lines come from the predecoded
+        request, and orientations are line-id bits (row=0 / column=1).
+        An override makes the predicted line the request's line and
+        the static line its perpendicular, keeping the demand index
+        (the object path counts demand before predicting), so the
+        replay loop probes and fills the predicted orientation.  The
+        predictor never reads cache state, so training a span before
+        replaying it is exact; the counter cells move once per span,
+        before a sampler reads them.
         """
-        slot = self.slot_of.get(ref)
+        slot_of = self.slot_of
+        refs = self.refs
+        last_row = self.last_row
+        last_col = self.last_col
         counters = self.counter
-        if slot is None:
-            if self.size >= self.capacity:
-                head = self.head
-                del self.slot_of[self.refs[head]]
-                self.c_table_evictions.value += 1
-                slot = head
-                head += 1
-                self.head = head if head < self.capacity else 0
+        capacity = self.capacity
+        threshold = self.threshold
+        saturation = self.saturation
+        size = self.size
+        head = self.head
+        n_evictions = n_fallbacks = n_predictions = n_overrides = 0
+        for i in range(start, stop):
+            p = packed[i]
+            if p & 0x20:  # vector: its lane layout fixes the orientation
+                continue
+            line = p >> 7
+            other = (line & -16) | (p & 15)
+            static_bit = (line >> 3) & 1
+            if static_bit:
+                row_line, col_line = other, line
             else:
-                slot = self.size
-                self.size = slot + 1
-            self.slot_of[ref] = slot
-            self.refs[slot] = ref
-            self.last_row[slot] = -1
-            self.last_col[slot] = -1
-            ctr = 0
-        else:
-            ctr = counters[slot]
-        same_row = row_line == self.last_row[slot]
-        same_col = col_line == self.last_col[slot]
-        if same_col and not same_row:
-            if ctr < self.saturation:
-                ctr += 1
-        elif same_row and not same_col:
-            if ctr > -self.saturation:
-                ctr -= 1
-        counters[slot] = ctr
-        self.last_row[slot] = row_line
-        self.last_col[slot] = col_line
-        if ctr >= self.threshold:
-            prediction = 1
-        elif ctr <= -self.threshold:
-            prediction = 0
-        else:
-            self.c_static_fallbacks.value += 1
-            return static_bit
-        self.c_predictions.value += 1
-        if prediction != static_bit:
-            self.c_overrides.value += 1
-        return prediction
+                row_line, col_line = line, other
+            ref = words[i] & 0xFFFF
+            slot = slot_of.get(ref)
+            if slot is None:
+                if size >= capacity:
+                    slot = head
+                    del slot_of[refs[slot]]
+                    n_evictions += 1
+                    head = slot + 1 if slot + 1 < capacity else 0
+                else:
+                    slot = size
+                    size += 1
+                slot_of[ref] = slot
+                refs[slot] = ref
+                ctr = 0  # a fresh entry has no previous lines to match
+            else:
+                ctr = counters[slot]
+                same_row = row_line == last_row[slot]
+                same_col = col_line == last_col[slot]
+                if same_col and not same_row:
+                    if ctr < saturation:
+                        ctr += 1
+                elif same_row and not same_col:
+                    if ctr > -saturation:
+                        ctr -= 1
+            counters[slot] = ctr
+            last_row[slot] = row_line
+            last_col[slot] = col_line
+            if ctr >= threshold:
+                prediction = 1
+            elif ctr <= -threshold:
+                prediction = 0
+            else:
+                n_fallbacks += 1
+                continue
+            n_predictions += 1
+            if prediction != static_bit:
+                n_overrides += 1
+                packed[i] = (other << 7) | (p & 0x70) | (line & 15)
+        self.size = size
+        self.head = head
+        self.c_table_evictions.value += n_evictions
+        self.c_static_fallbacks.value += n_fallbacks
+        self.c_predictions.value += n_predictions
+        self.c_overrides.value += n_overrides
 
 
 class _FlatStore:
@@ -632,13 +649,6 @@ class _Kernel2L(_FlatStore):
                                            _SCALAR)
         self.meta[slots[preferred]] |= pref_bit << 8
         return completion + self.data_write_latency, level
-
-    def vector_read_tail(self, line: int, now: int):
-        """``_vector_read`` miss: eight extra intersecting probes."""
-        self.c_tag_probes.value += 9
-        completion, level = self.fill_line(
-            line, now + 9 * self.tag_latency, _VECTOR)
-        return completion + self.data_latency, level
 
     def vector_write_tail(self, line: int, now: int):
         """Full ``_vector_write`` mirror (miss, or duplicates present)."""
@@ -1408,24 +1418,23 @@ class KernelEngine:
         :class:`_SpanState`: as a single span, or, with a ``sampler``
         and ``sample_every > 0``, as spans ``[k*every, (k+1)*every)``
         with ``sampler(ops, now)`` called after each full span — the
-        point where the object path's per-request check fires.  The
-        L1 hit, miss, probe, tracked-miss and demand counters reach
-        the shared cells after every span, so a sampler reads them as
-        the object path leaves them; an unsampled replay is one span
-        and folds them once.  Then drains the outstanding window, runs
-        the hierarchy's posted-write horizon, and sets the end-only
-        cells (ops, cycles, stall cycles, latency histogram).
+        point where the object path's per-request check fires.  A
+        dynamic-orientation L1's predictor trains on each span just
+        before the span replays.  The L1 hit, miss, probe,
+        tracked-miss and demand counters reach the shared cells after
+        every span, so a sampler reads them as the object path leaves
+        them; an unsampled replay is one span and folds them once.
+        Then drains the outstanding window, runs the hierarchy's
+        posted-write horizon, and sets the end-only cells (ops, cycles,
+        stall cycles, latency histogram).
         """
         l1 = self.levels[0]
         words = trace.words
+        predictor = self.l1_predictor
         if isinstance(l1, _Kernel2L):
             packed, demand = _predecode_2l(words)
             demand_shift = 4
-            if self.l1_predictor is None:
-                span = _replay_2l_span
-            else:
-                span = partial(_replay_2l_dyn_span,
-                               refs=_predecode_refs(words))
+            span = _replay_2l_span
         else:
             packed, demand = _predecode_1l(words)
             demand_shift = 3
@@ -1436,6 +1445,8 @@ class KernelEngine:
         state = _SpanState()
         for start in range(0, total, step):
             stop = min(start + step, total)
+            if predictor is not None:
+                predictor.predict_span(words, packed, start, stop)
             span(self, packed, start, stop, cpu_config, state)
             if sampling:
                 _flush_span(cpu_group, l1, state, _span_demand(
@@ -1515,7 +1526,10 @@ def _replay_2l_span(engine: KernelEngine, packed, start, stop,
                     cpu_config, state) -> None:
     """Replay predecoded requests ``[start, stop)``, carrying ``state``.
 
-    One function, local-variable bindings only: the four request modes
+    Serves every 2-D L1, static or dynamic: on a dynamic-orientation
+    L1, :meth:`_FlatPredictor.predict_span` has already rewritten the
+    span's overridden scalar requests to their predicted lines.  One
+    function, local-variable bindings only: the four request modes
     dispatch on two packed-word bits, the plain-hit cases complete
     inline against the flat stores, and only misses and duplicate-copy
     cases drop into the (still flat) slow-path methods.  The cache
@@ -1624,9 +1638,9 @@ def _replay_2l_span(engine: KernelEngine, packed, start, stop,
                 c_early.value += 1
                 latency = ready + hit_latency - now
             else:
-                # vector_read_tail + fill_line, fully inlined for the
-                # dominant miss type: nine probes, clean gate, MSHR
-                # transaction, lower fetch (hit served in place),
+                # The vector-read miss and fill_line, fully inlined
+                # for the dominant miss type: nine probes, clean gate,
+                # MSHR transaction, lower fetch (hit served in place),
                 # install/evict — all on the local bindings above.
                 n_probes += 9
                 fnow = now + vprobe_cost
@@ -1835,208 +1849,6 @@ def _replay_2l_span(engine: KernelEngine, packed, start, stop,
     if n_l2_serves:
         l2.c_fetch_requests.value += n_l2_serves
         l2.c_tag_probes.value += n_l2_serves
-    state.now = now
-    state.stalled = stalled
-    state.n_hits += n_hits
-    state.n_misses += n_misses
-    state.n_probes += n_probes
-    state.n_tracked += n_tracked
-
-
-def _replay_2l_dyn_span(engine: KernelEngine, packed, start, stop,
-                        cpu_config, state, refs) -> None:
-    """Replay ``[start, stop)`` over a dynamic-orientation (1P2L) L1.
-
-    The object path consults the predictor on *every* scalar access —
-    hit or miss, before any probe — so the loop trains the flat
-    predictor mirror first, swaps the preferred/perpendicular lines
-    (and their in-line word offsets) when the prediction overrides the
-    static preference, then runs the static loop's fast paths against
-    the predicted orientation.  Vector requests never consult the
-    predictor and misses drop into the exact (still flat) tail
-    methods.  Demand accounting keeps each request's *static*
-    attributes: the object path counts demand before predicting.
-    ``refs`` holds the requests' static reference ids, index-aligned
-    with ``packed``; ``state`` carries across spans as in
-    :func:`_replay_2l_span`.
-    """
-    l1 = engine.levels[0]
-    observe = engine.l1_predictor.observe
-    now = state.now
-    stalled = state.stalled
-    window = state.window
-    hist = state.hist
-    window_size = cpu_config.mlp_window
-    issue_cost = cpu_config.cycles_per_op
-    cfg = l1.cfg
-    pipelined = cfg.hit_latency + 3 * cfg.tag_latency
-    hit_latency = l1.hit_latency
-    swrite_latency = 2 * l1.tag_latency + l1.data_write_latency
-    vwrite_latency = 9 * l1.tag_latency + l1.data_write_latency
-    hb_hit = hit_latency.bit_length()
-    hb_sw = swrite_latency.bit_length()
-    hb_vw = vwrite_latency.bit_length()
-    slots_get = l1.slot_of.get
-    meta_arr = l1.meta
-    ready_at = l1.ready_at
-    ready_get = ready_at.get
-    tile_get = l1.tile_count.get
-    age_cell = l1.age
-    age_limit = AGE_LIMIT
-    compact = l1._compact_ages
-    c_early = l1.c_early_hit_waits
-    scalar_read_tail = l1.scalar_read_tail
-    scalar_write_tail = l1.scalar_write_tail
-    vector_read_tail = l1.vector_read_tail
-    vector_write_tail = l1.vector_write_tail
-    lvl1 = l1.level_index
-    n_hits = n_misses = n_probes = n_tracked = 0
-    if start == 0 and stop >= len(packed):
-        span = zip(packed, refs)
-    else:
-        span = zip(packed[start:stop], refs[start:stop])
-    for p, ref in span:
-        line = p >> 7
-        mode = (p >> 4) & 3  # is_write | width << 1
-        now += issue_cost
-        if mode == 2:  # vector read (static orientation throughout)
-            slot = slots_get(line)
-            if slot is not None:
-                n_probes += 1
-                n_hits += 1
-                stamp = age_cell[0]
-                if stamp >= age_limit:
-                    compact()
-                    stamp = age_cell[0]
-                age_cell[0] = stamp + 1
-                meta_arr[slot] = (meta_arr[slot] & 0xFFFF) \
-                    | (stamp << 16)
-                ready = ready_get(line)
-                if ready is None:
-                    hist[hb_hit] += 1
-                    continue
-                if ready <= now:
-                    del ready_at[line]
-                    hist[hb_hit] += 1
-                    continue
-                c_early.value += 1
-                latency = ready + hit_latency - now
-            else:
-                completion, level = vector_read_tail(line, now)
-                if level == lvl1:
-                    n_hits += 1
-                else:
-                    n_misses += 1
-                latency = completion - now
-            hist[latency.bit_length()] += 1
-            if latency > pipelined:
-                heappush(window, now + latency)
-                n_tracked += 1
-                while len(window) > window_size:
-                    earliest = heappop(window)
-                    if earliest > now:
-                        stalled += earliest - now
-                        now = earliest
-        elif mode == 3:  # vector write (posted)
-            slot = slots_get(line)
-            if slot is not None and tile_get((line >> 3) ^ 1) is None:
-                n_probes += 9
-                n_hits += 1
-                stamp = age_cell[0]
-                if stamp >= age_limit:
-                    compact()
-                    stamp = age_cell[0]
-                age_cell[0] = stamp + 1
-                meta_arr[slot] = (meta_arr[slot] & 0xFFFF) | 0xFF00 \
-                    | (stamp << 16)
-                hist[hb_vw] += 1
-                continue
-            completion, level = vector_write_tail(line, now)
-            if level == lvl1:
-                n_hits += 1
-            else:
-                n_misses += 1
-            hist[(completion - now).bit_length()] += 1
-        else:
-            # Scalar access: train + predict, possibly swapping the
-            # probe order.  ``line`` carries the static preference in
-            # its orientation bit; ``other`` is the intersecting line.
-            static_bit = (line >> 3) & 1
-            other = (line & -16) | (p & 15)
-            if static_bit:
-                predicted = observe(ref, other, line, 1)
-            else:
-                predicted = observe(ref, line, other, 0)
-            if predicted == static_bit:
-                pref = line
-                oth = other
-                pref_offset = p & 7
-                oth_offset = line & 7
-            else:
-                pref = other
-                oth = line
-                pref_offset = line & 7
-                oth_offset = p & 7
-            if mode == 0:  # scalar read
-                slot = slots_get(pref)
-                if slot is not None:
-                    n_probes += 1
-                    n_hits += 1
-                    stamp = age_cell[0]
-                    if stamp >= age_limit:
-                        compact()
-                        stamp = age_cell[0]
-                    age_cell[0] = stamp + 1
-                    meta_arr[slot] = (meta_arr[slot] & 0xFFFF) \
-                        | (stamp << 16)
-                    ready = ready_get(pref)
-                    if ready is None:
-                        hist[hb_hit] += 1
-                        continue
-                    if ready <= now:
-                        del ready_at[pref]
-                        hist[hb_hit] += 1
-                        continue
-                    c_early.value += 1
-                    latency = ready + hit_latency - now
-                else:
-                    completion, level = scalar_read_tail(pref, oth,
-                                                         now)
-                    if level == lvl1:
-                        n_hits += 1
-                    else:
-                        n_misses += 1
-                    latency = completion - now
-                hist[latency.bit_length()] += 1
-                if latency > pipelined:
-                    heappush(window, now + latency)
-                    n_tracked += 1
-                    while len(window) > window_size:
-                        earliest = heappop(window)
-                        if earliest > now:
-                            stalled += earliest - now
-                            now = earliest
-            else:  # scalar write (posted)
-                slot = slots_get(pref)
-                if slot is not None and slots_get(oth) is None:
-                    n_probes += 2
-                    n_hits += 1
-                    stamp = age_cell[0]
-                    if stamp >= age_limit:
-                        compact()
-                        stamp = age_cell[0]
-                    age_cell[0] = stamp + 1
-                    meta_arr[slot] = (meta_arr[slot] & 0xFFFF) \
-                        | (256 << pref_offset) | (stamp << 16)
-                    hist[hb_sw] += 1
-                    continue
-                completion, level = scalar_write_tail(
-                    pref, oth, 1 << pref_offset, 1 << oth_offset, now)
-                if level == lvl1:
-                    n_hits += 1
-                else:
-                    n_misses += 1
-                hist[(completion - now).bit_length()] += 1
     state.now = now
     state.stalled = stalled
     state.n_hits += n_hits

@@ -114,11 +114,6 @@ def configure_trace_store(root: Optional[str]) -> Optional[TraceStore]:
     return _TRACE_STORE
 
 
-def trace_store() -> Optional[TraceStore]:
-    """The currently configured persistent trace store, if any."""
-    return _TRACE_STORE
-
-
 def ensure_trace(workload: str, size: str, logical_dims: int,
                  variant: str = "") -> Tuple[str, PackedTrace]:
     """Materialize (memo -> store -> generate) one named trace."""

@@ -10,7 +10,8 @@ and on synthetic edge-case traces (full-hit and single-row runs, LRU
 stamp saturation, saturated sets, a miss-heavy small-L1 hierarchy,
 cold-cache sharded epochs), including the 2P2L family (dense and
 sparse block fill, duplicate-copy coherence) and dynamic orientation
-prediction — occupancy-sampled runs (samples, cycles and stats) on
+prediction (with a hypothesis differential fuzz against the object
+path) — occupancy-sampled runs (samples, cycles and stats) on
 every covered design, explicit-program runs (custom layout, tiling,
 legacy compilation) against the object path, the flat-store
 replacement edge cases (LRU age saturation and compaction, eviction
@@ -53,7 +54,7 @@ from repro.sw.tracegen import generate_packed_trace, generate_trace
 from repro.workloads.registry import build_workload
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import example, given, settings
     from hypothesis import strategies as some
     HAVE_HYPOTHESIS = True
 except ImportError:  # pragma: no cover - hypothesis ships with the env
@@ -588,6 +589,79 @@ class TestKernel2P2L:
             assert store.dirty[slot] == state.dirty_word()
 
 
+def _walk_trace(walks, steps):
+    """Interleaved word walks for the dynamic-orientation fuzz.
+
+    ``walks`` holds ``(ref, orientation, tile, row, column, row step,
+    column step)`` tuples; a row step of 1 walks down a column, a
+    column step of 1 along a row, and a walk that runs off its tile
+    moves on to the next of 32 tiles (512 lines: pressure on every
+    level).  Each ``(skip, kind)`` step moves a cursor ``skip`` walks
+    on (0 stays, 1 is round robin), advances that walk by one word and
+    issues a request of ``kind`` (``is_write | vector << 1``) there; a
+    vector covers the walk's static line through the word.
+    """
+    taken = [0] * len(walks)
+    reqs = []
+    index = 0
+    for skip, kind in steps:
+        index = (index + skip) % len(walks)
+        ref, orient, tile, r, c, dr, dc = walks[index]
+        k = taken[index]
+        taken[index] = k + 1
+        r, c = r + k * dr, c + k * dc
+        tile = (tile + (r >> 3) + (c >> 3)) % 32
+        r, c = r & 7, c & 7
+        if kind & 2:
+            width = AccessWidth.VECTOR
+            addr = _word(r, 0, tile) if orient is Orientation.ROW \
+                else _word(0, c, tile)
+        else:
+            width, addr = AccessWidth.SCALAR, _word(r, c, tile)
+        reqs.append(Request(addr=addr, orientation=orient, width=width,
+                            is_write=bool(kind & 1), ref_id=ref))
+    return reqs
+
+
+#: 100 column walks under row preference, visited round robin twice,
+#: four requests a visit (read, read, write, read: the third predicts
+#: COLUMN and overrides): 136 FIFO evictions wrap the predictor's slot
+#: cursor twice, and every evicted ref re-enters cold.
+_FIFO_WRAP = _walk_trace(
+    [(ref, Orientation.ROW, ref % 32, 0, ref % 8, 1, 0)
+     for ref in range(100)],
+    [(1, 0), (0, 0), (0, 1), (0, 0)] * 200)
+
+#: Row walks under column preference (overrides toward ROW), with
+#: scalar writes and column-vector reads and writes through the walked
+#: words.
+_ROW_WALKS = _walk_trace(
+    [(ref, Orientation.COLUMN, 3 * ref, ref, 0, 0, 1)
+     for ref in range(4)],
+    [(1, 0), (0, 0), (0, 2), (0, 1), (0, 0), (0, 3), (0, 1)] * 12)
+
+
+if HAVE_HYPOTHESIS:
+    @some.composite
+    def _walk_traces(draw):
+        """Up to 100 walks with distinct refs from twice the 64-entry
+        predictor table's range, stepped in a drawn order; scalar reads
+        are half the requests."""
+        count = draw(some.integers(1, 100))
+        refs = draw(some.lists(some.integers(0, 127), min_size=count,
+                               max_size=count, unique=True))
+        walks = [(ref,) + draw(some.tuples(
+            some.sampled_from((Orientation.ROW, Orientation.COLUMN)),
+            some.integers(0, 31), some.integers(0, 7),
+            some.integers(0, 7), some.integers(0, 1),
+            some.integers(0, 1))) for ref in refs]
+        length = draw(some.integers(1, 400))
+        steps = draw(some.lists(some.tuples(
+            some.integers(0, 3), some.sampled_from((0, 0, 0, 1, 2, 3))),
+            min_size=length, max_size=length))
+        return _walk_trace(walks, steps)
+
+
 class TestDynamicOrientation:
     """The flat orientation-predictor mirror (PR-7 tentpole)."""
 
@@ -628,6 +702,23 @@ class TestDynamicOrientation:
                                     R, ref_id=ref))
         flat = self._two_way(reqs)
         assert flat["cache.L1.orientation.table_evictions"] > 0
+
+    if HAVE_HYPOTHESIS:
+        @settings(max_examples=40, deadline=None)
+        @given(requests=_walk_traces(), stride=some.integers(1, 64))
+        @example(requests=_FIFO_WRAP, stride=7)
+        @example(requests=_ROW_WALKS, stride=1)
+        def test_matches_object_path_on_generated_traces(self, requests,
+                                                         stride):
+            """The kernel equals the object path (``kernel_disabled``)
+            on generated walks, unsampled and sampled: cycles, final
+            flat stats and every (occupancy sample, flat stats) pair,
+            the predictor's counters included."""
+            for every in (0, stride):
+                via_kernel = _sampled_run("1P2L_Dyn", every, requests)
+                with kernels.kernel_disabled():
+                    oracle = _sampled_run("1P2L_Dyn", every, requests)
+                assert via_kernel == oracle
 
 
 class TestPackedBlockWords:

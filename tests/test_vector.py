@@ -61,6 +61,14 @@ def _hot_trace(n):
     return [_row_vector(0, i & 7) for i in range(n)]
 
 
+def _column_walk(n):
+    """Row-preference scalar reads walking down tile 0's column 0 under
+    one ref: a dynamic predictor learns COLUMN and overrides them."""
+    return [Request(addr=((i & 7) << 3) << 3, orientation=Orientation.ROW,
+                    width=AccessWidth.SCALAR, is_write=False, ref_id=0)
+            for i in range(n)]
+
+
 def _miss_trace(n):
     """Vector reads striding distinct tiles: miss-dominated."""
     return [_row_vector(i % 4096, i & 7) for i in range(n)]
@@ -131,21 +139,24 @@ class TestSupports:
     def test_kernel_only_designs_stay_scalar(self, design, engines,
                                              monkeypatch):
         # Dynamic orientation trains its predictor on every scalar
-        # access in program order: the kernel's in-order predictor
-        # loop replays it.
+        # access in program order: a pass over the span rewrites the
+        # overridden requests, and the 2-D span loop replays them.
         calls = []
-        original = kernels._replay_2l_dyn_span
+        original = kernels._replay_2l_span
 
-        def counting(engine, packed, start, stop, *args, **kwargs):
+        def counting(engine, packed, start, stop, *args):
             calls.append(stop - start)
-            return original(engine, packed, start, stop, *args,
-                            **kwargs)
+            return original(engine, packed, start, stop, *args)
 
-        monkeypatch.setattr(kernels, "_replay_2l_dyn_span", counting)
-        cpu, _ = _cpu(make_system(design, 1.0))
-        cpu.run(PackedTrace.from_requests(_hot_trace(64)))
+        monkeypatch.setattr(kernels, "_replay_2l_span", counting)
+        cpu, stats = _cpu(make_system(design, 1.0))
+        cpu.run(PackedTrace.from_requests(_column_walk(64)))
         assert engines == ["run_kernel"]
         assert calls == [64]
+        flat = stats.flat()
+        assert flat["cache.L1.orientation.static_fallbacks"] \
+            + flat["cache.L1.orientation.predictions"] == 64
+        assert flat["cache.L1.orientation.overrides"] > 0
 
     @pytest.mark.parametrize("design", UNCOVERED)
     def test_kernel_uncovered_designs_fall_back(self, design, engines):
