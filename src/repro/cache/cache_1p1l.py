@@ -61,7 +61,8 @@ class Cache1P1L(CacheLevel):
 
     @property
     def prefetcher(self) -> StridePrefetcher:
-        """The level's stride prefetcher (shared with the kernel path)."""
+        """The level's stride prefetcher (the kernel path mirrors its
+        one LLC table entry and shares its statistics group)."""
         return self._prefetcher
 
     # -- CPU-facing -----------------------------------------------------------

@@ -43,8 +43,9 @@ from .base import FULL_MASK, CacheLevel
 #: Width of one packed per-block bit word: rows in bits 0-7, columns in
 #: bits 8-15 — i.e. bit ``orientation << 3 | index``, matching the low
 #: four bits of a line id (``line & 15``).  The kernel mirror
-#: (:class:`repro.core.kernels._Kernel2P2L`) keeps one presence word
-#: and one dirty word per block slot in exactly this layout.
+#: (:class:`repro.core.kernels._Kernel2P2L`) packs each resident
+#: block's presence word and dirty word, in exactly this layout, into
+#: the one int its LRU set holds for the block.
 PACKED_WORD_BITS = 16
 PACKED_WORD_MASK = (1 << PACKED_WORD_BITS) - 1
 

@@ -1,4 +1,4 @@
-"""Structure-of-arrays cache kernels and the fused replay loop.
+"""Flat cache kernels and the fused replay loops.
 
 The object model (:mod:`repro.cache`) keeps per-line state in Python
 dicts and per-set :class:`LruSet` objects, and every request crosses
@@ -6,27 +6,18 @@ several method boundaries (``access`` -> ``_vector_read`` ->
 ``_fill_line`` -> ``fetch_line`` -> ...).  Profiling the object replay
 loop shows that essentially all time is spent in those cache levels —
 the memory controller underneath is noise — so this module rebuilds the
-covered designs as **flat structure-of-arrays stores** driven by one
-fused loop:
+covered designs as **flat stores** driven by two span loops that run
+the common miss down the whole chain inline:
 
-* ``tags``: one ``array('Q')`` slot per cache frame holding the full
-  oriented line id (set ``s`` owns slots ``[s*assoc, (s+1)*assoc)``);
-* ``meta``: one packed 64-bit metadata word per frame (a flat list —
-  hot paths read these words far more than they write them, and list
-  reads don't box a fresh int the way ``array('Q')`` reads do)::
-
-      bit   0      valid
-      bit   1      orientation (row=0 / column=1, mirrors the tag)
-      bits  8-15   per-word dirty mask
-      bits 16-63   LRU age stamp
-
-  Age stamps come from a per-level monotonic counter, so the victim of
-  a full set is simply the valid slot with the smallest ``meta`` word —
-  bit-identical to the insertion-ordered :class:`LruSet` the object
-  path uses.  Stamps are compacted in place (order-preserving) when the
-  counter reaches :data:`AGE_LIMIT`, long before bit 63.
-* ``slot_of``: line id -> slot index, the presence/lookup accelerator
-  over the canonical arrays;
+* ``sets``: one :class:`collections.OrderedDict` per cache set, keyed
+  by the resident oriented line id (a tile id in a 2P2L block store)
+  in LRU order, oldest first.  A hit is ``move_to_end``; once a set
+  holds ``assoc`` entries the victim is ``popitem(last=False)`` — the
+  object path's insertion-ordered :class:`LruSet`, kept in C.  The
+  value is the line's per-word dirty mask (a 2P2L block's packed
+  presence and dirty words);
+* ``slot_of``: resident key -> the ``OrderedDict`` of its set, so a
+  probe is one dict lookup and a hit one ``move_to_end``;
 * ``tile_count``: (tile, orientation) -> resident-line count, which
   lets the hot paths skip the eight-way perpendicular scans (duplicate
   eviction, Fig. 9 cleaning) whenever a tile holds no crossing lines.
@@ -38,34 +29,36 @@ replay loop never recomputes the row/column bit-slicing per request
 (the channel/rank/bank side of the decode lives in
 :func:`repro.mem.decoder.interleave_tables`).
 
-Every kernel level *shares* its statistics cells, MSHR file, and (for
-1P1L) stride prefetcher with the corresponding object level, and the
-chain bottoms out at the hierarchy's real :class:`MemoryPort`, so a
-kernel run produces **bit-identical counters** to the object path —
-``tests/test_kernels.py`` enforces this across the covered design x
-workload matrix.
+Every kernel level *shares* its statistics cells and MSHR counters
+with the corresponding object level, the 1P1L LLC's stride prefetcher
+is mirrored in three ints that share its ``prefetches_generated``
+cell, and the chain bottoms out at the hierarchy's real
+:class:`MemoryPort`, so a kernel run produces **bit-identical
+counters** to the object path — ``tests/test_kernels.py`` enforces
+this across the covered design x workload matrix and on generated
+traces.
 
-Coverage: LRU replacement throughout; physically 1-D levels
-(``Cache1P1L`` or ``Cache1P2L``, either index mapping) anywhere in the
-hierarchy; a physically 2-D block store (``Cache2P2L``, dense or
-sparse fill) as the last level (:class:`_Kernel2P2L`, which packs each
-block's presence and dirty line masks into one 16-bit word per slot);
-and dynamic orientation prediction on a 1P2L L1.  The predictor reads
-only the trace, never the cache state, so :class:`_FlatPredictor`
-trains on each span's predecoded requests before the span replays and
-rewrites the scalar requests whose prediction overrides the static
-preference; static and dynamic 2-D L1s then replay on the same loop.
-A physically 2-D L1 or mid-level, non-LRU policies and a prefetching
-1-D L1 replay on the object path (see :func:`supports`).
-Occupancy-sampled runs stay on the kernel:
-:meth:`KernelEngine.replay` walks the trace in sampling-stride spans
-and answers :meth:`KernelEngine.occupancy_by_level` from the flat
-stores between them.
+Coverage: LRU replacement; two or three levels (an L1, at most one
+mid level, and the last level); a 1P1L L1 over 1P1L levels, of which
+only the last may prefetch; or a 1P2L L1 (either index mapping,
+static or dynamic orientation) over a 1P2L mid level and a 1P2L or
+2P2L (dense or sparse fill) last level (:class:`_Kernel2P2L`, whose
+CPU-facing Design 3 path is never exercised there).  The orientation
+predictor reads only the trace, never the cache state, so
+:class:`_FlatPredictor` trains on each span's predecoded requests
+before the span replays and rewrites the scalar requests whose
+prediction overrides the static preference; static and dynamic 2-D
+L1s then replay on the same loop.  Any other hierarchy replays on the
+object path (see :func:`supports`).  Occupancy-sampled runs stay on
+the kernel: :meth:`KernelEngine.replay` walks the trace in
+sampling-stride spans and answers :meth:`KernelEngine.occupancy_by_level`
+from the flat stores between them.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import OrderedDict
 from functools import lru_cache
 from heapq import heappop, heappush
 from typing import Dict, List, Tuple
@@ -83,16 +76,8 @@ except ImportError:  # pragma: no cover - numpy ships with the test env
 #: object path, the reference model (see :func:`kernel_disabled`).
 KERNEL_ENABLED = True
 
-#: LRU age stamps are compacted (order-preserving) once a level's
-#: counter reaches this bound — far below the 48 bits the meta word can
-#: hold, so saturation never corrupts eviction order.  Tests shrink it
-#: to force compaction on tiny traces.
-AGE_LIMIT = 1 << 46
-
 _SCALAR = AccessWidth.SCALAR
 _VECTOR = AccessWidth.VECTOR
-
-_META_LOW = 0xFFFF  # valid + orientation + dirty bits (ages live above)
 
 _COLUMN_ON_1L = ("column-preference request reached a 1P1L cache; "
                  "design-0 traces must be generated with logical_dims=1")
@@ -109,27 +94,30 @@ def supports(hierarchy) -> bool:
     if hierarchy.replacement != "lru":
         return False
     levels = hierarchy.levels
-    last = len(levels) - 1
-    for pos, level in enumerate(levels):
-        cfg = level.config
-        if cfg.physical_dims == 2:
-            # A 2P2L block store is covered only as the last (lowest)
-            # level: there its CPU-facing ``access`` path (Design 3)
-            # is never exercised, so the flat mirror only needs the
-            # inter-level protocol.
-            if pos == 0 or pos != last or cfg.logical_dims != 2:
-                return False
-        elif cfg.dynamic_orientation and \
-                (pos != 0 or cfg.logical_dims != 2):
-            # Orientation prediction only exists on the CPU-facing
-            # scalar paths of a 1P2L L1.
-            return False
-    l1_cfg = hierarchy.l1.config
-    if l1_cfg.logical_dims == 1 and l1_cfg.prefetcher.enabled:
-        # The fused 1-D loop elides the per-access prefetcher hook;
-        # that is only exact when the L1 prefetcher is off (it always
-        # is — the baseline trains its prefetcher at the LLC).
+    if not 2 <= len(levels) <= 3:
+        # The span loops inline an L1, at most one mid level and the
+        # last level.
         return False
+    configs = [level.config for level in levels]
+    l1_cfg = configs[0]
+    if l1_cfg.physical_dims == 2:
+        return False
+    if l1_cfg.logical_dims == 1:
+        # The 1P1L chain: every level 1-D, only the last prefetching
+        # (the baseline trains its prefetcher at the LLC).
+        return all(cfg.logical_dims == 1 and not cfg.dynamic_orientation
+                   for cfg in configs) \
+            and not any(cfg.prefetcher.enabled for cfg in configs[:-1])
+    for pos, cfg in enumerate(configs[1:], 1):
+        # Orientation prediction only exists on the CPU-facing scalar
+        # paths of a 1P2L L1.  A 2P2L block store is covered only as
+        # the last level: there its CPU-facing ``access`` path
+        # (Design 3) is never exercised, so the flat mirror only needs
+        # the inter-level protocol.
+        if cfg.dynamic_orientation:
+            return False
+        if cfg.physical_dims == 2 and pos != len(configs) - 1:
+            return False
     return True
 
 
@@ -425,14 +413,24 @@ class _FlatPredictor:
 
 
 class _FlatStore:
-    """Shared flat-store state and LRU age bookkeeping."""
+    """One level's flat state: LRU sets and a private MSHR mirror.
+
+    ``sets[s]`` is set ``s``'s ``OrderedDict`` (resident key -> value,
+    oldest first) and ``slot_of`` maps every resident key to its set's
+    ``OrderedDict`` (layout in the module docstring).  The MSHR mirror
+    reproduces :class:`MshrFile` exactly (same retirement set, same
+    counter cells): each in-flight fill is one ``(completion, line,
+    serving level)`` tuple, held both in ``pending`` (keyed by line)
+    and in ``pending_heap``, so retirement pops the heap and a
+    full-file stall reads its head.  The span loops run this state
+    inline; the methods serve the rarer paths.
+    """
 
     __slots__ = (
         "cfg", "level_index", "num_sets", "assoc", "tag_latency",
-        "data_latency", "hit_latency", "tags", "meta", "slot_of",
-        "ready_at", "age", "lower", "lower_store", "lower_slots_get",
-        "demand_cells", "pending_at", "pending_lvl", "pending_tiles",
-        "pending_heap", "mshr_capacity", "c_ordering_blocks",
+        "data_latency", "hit_latency", "sets", "slot_of", "ready_at",
+        "lower", "demand_cells", "pending", "pending_heap",
+        "mshr_capacity", "c_ordering_blocks",
         "c_full_stalls", "c_allocations", "c_hits", "c_misses",
         "c_fetch_requests", "c_tag_probes", "c_mshr_coalesced",
         "c_fills", "c_early_hit_waits",
@@ -447,42 +445,15 @@ class _FlatStore:
         self.tag_latency = cfg.tag_latency
         self.data_latency = cfg.data_latency
         self.hit_latency = cfg.hit_latency
-        nslots = cfg.num_sets * cfg.assoc
-        self.tags = array("Q", bytes(8 * nslots))
-        # One packed 64-bit metadata word per slot (layout in the
-        # module docstring).  A flat list, not an array('Q'): the hot
-        # paths read these words far more often than they write them,
-        # and a list read is a pointer load while an array read must
-        # box a fresh int every time.
-        self.meta: List[int] = [0] * nslots
-        self.slot_of: Dict[int, int] = {}
+        self.sets: List[OrderedDict] = [OrderedDict()
+                                        for _ in range(cfg.num_sets)]
+        self.slot_of: Dict[int, OrderedDict] = {}
         self.ready_at: Dict[int, int] = {}
-        # One-element list so the fused loop and the slow-path methods
-        # share the same mutable age counter.
-        self.age: List[int] = [0]
         self.lower = None
-        # Set by KernelEngine when the next level down is a flat store
-        # whose fetch_line hit path has no side effects beyond
-        # touch/ready bookkeeping (i.e. no per-access prefetcher):
-        # the fill paths then serve lower-level hits inline.
-        self.lower_store = None
-        self.lower_slots_get = None
         self.demand_cells = level._demand_cells
-        # Private MSHR state mirroring :class:`MshrFile` exactly (same
-        # retirement set, same counter cells), inlined into the fill
-        # paths so a miss pays no method-call round trips.  The pending
-        # file is split into int-valued dicts (completion and serving
-        # level) so the barrier scan iterates plain ints;
-        # ``pending_heap`` holds the same fills as ``(completion,
-        # line)`` so retirement pops and a full-file stall reads the
-        # head; and ``pending_tiles`` counts in-flight fills per
-        # (tile, orientation) key so the 2-D ordering scan is skipped
-        # outright when no perpendicular fill is outstanding.
         mshr = level.mshr
-        self.pending_at: Dict[int, int] = {}
-        self.pending_lvl: Dict[int, int] = {}
-        self.pending_tiles: Dict[int, int] = {}
-        self.pending_heap: List[Tuple[int, int]] = []
+        self.pending: Dict[int, Tuple[int, int, int]] = {}
+        self.pending_heap: List[Tuple[int, int, int]] = []
         self.mshr_capacity = mshr.capacity
         self.c_ordering_blocks = mshr._c_ordering_blocks
         self.c_full_stalls = mshr._c_full_stalls
@@ -496,54 +467,98 @@ class _FlatStore:
         self.c_fills = stats.counter("fills")
         self.c_early_hit_waits = stats.counter("early_hit_waits")
 
-    def _stamp(self) -> int:
-        """Next (unique, monotonic) LRU age, compacting at the limit."""
-        age = self.age
-        stamp = age[0]
-        if stamp >= AGE_LIMIT:
-            self._compact_ages()
-            stamp = age[0]
-        age[0] = stamp + 1
-        return stamp
-
-    def _compact_ages(self) -> None:
-        """Re-stamp every valid slot densely, preserving LRU order."""
-        meta = self.meta
-        order = sorted((meta[slot] >> 16, slot)
-                       for slot in range(len(meta)) if meta[slot] & 1)
-        for fresh, (_, slot) in enumerate(order):
-            meta[slot] = (meta[slot] & _META_LOW) | (fresh << 16)
-        self.age[0] = len(order)
-
-    def _touch(self, slot: int) -> None:
-        self.meta[slot] = (self.meta[slot] & _META_LOW) \
-            | (self._stamp() << 16)
-
-    def _hit_completion(self, line: int, slot: int, now: int) -> int:
-        """Touch plus data-readiness of a hit (``_data_ready`` mirror)."""
-        self._touch(slot)
+    def _data_ready(self, line: int, now: int) -> int:
+        """Earliest cycle a hit on ``line`` returns data
+        (``CacheLevel._data_ready``)."""
         ready = self.ready_at.get(line)
-        if ready is not None:
-            if ready <= now:
-                del self.ready_at[line]
-            else:
-                self.c_early_hit_waits.value += 1
-                return ready
-        return now
+        if ready is None:
+            return now
+        if ready <= now:
+            del self.ready_at[line]
+            return now
+        self.c_early_hit_waits.value += 1
+        return ready
+
+    # -- MSHR mirror ---------------------------------------------------------
+    #
+    # Retirement is eager, as in the object path: a lower level runs at
+    # its upper level's issue times, which are not monotonic (a
+    # barrier- or stall-raised issue can precede a later call's smaller
+    # clock), and the object's retirement is permanent at the
+    # high-water mark.  The heap head gates every sweep, so it is O(1)
+    # when nothing can have retired.
 
     def _mshr_retire(self, now: int) -> None:
-        """``MshrFile.retire_completed`` over the private pending file:
-        pop every fill that completes at or before ``now``."""
+        """``MshrFile.retire_completed``: pop every fill that completes
+        at or before ``now``."""
         heap = self.pending_heap
-        if not heap or heap[0][0] > now:
-            return
-        pending_at = self.pending_at
-        pending_lvl = self.pending_lvl
+        pending = self.pending
+        while heap and heap[0][0] <= now:
+            del pending[heappop(heap)[1]]
+
+    def _mshr_insert(self, line: int, completion: int, level: int) -> None:
+        """Reserve + record an entry (``allocate`` then ``record``)."""
+        entry = (completion, line, level)
+        self.pending[line] = entry
+        heappush(self.pending_heap, entry)
+        self.c_allocations.value += 1
+        self.c_fills.value += 1
+
+    def _mshr_stall(self, issue: int) -> int:
+        """Full-file structural stalls: while the file is full, the
+        fill waits for the earliest outstanding one to retire."""
+        pending = self.pending
+        heap = self.pending_heap
+        while len(pending) >= self.mshr_capacity:
+            stall_until = heap[0][0]
+            if stall_until > issue:
+                issue = stall_until
+            self.c_full_stalls.value += 1
+            self._mshr_retire(stall_until)
+        return issue
+
+    def _mshr_admit(self, line: int, now: int) -> int:
+        """Issue time of a fresh fill of ``line`` at ``now``; a 1-D
+        level never orders, so only full-file stalls delay it."""
+        return self._mshr_stall(now)
+
+    def _fetch_below(self, line: int, now: int, width):
+        """``CacheLevel._fetch_below`` over the MSHR mirror: coalesce
+        with an in-flight fill, or admit, fetch below and record."""
+        self._mshr_retire(now)
+        entry = self.pending.get(line)
+        if entry is not None:
+            # Retirement at ``now`` left only fills completing later.
+            self.c_mshr_coalesced.value += 1
+            return entry[0], entry[2]
+        issue = self._mshr_admit(line, now)
+        completion, level = self.lower.fetch_line(line, issue, width)
+        self._mshr_insert(line, completion, level)
+        return completion, level
+
+
+class _OrderedStore(_FlatStore):
+    """A logically 2-D level: its MSHR mirror also orders fills.
+
+    ``pending_tiles`` counts in-flight fills per (tile, orientation)
+    key, so the 2-D ordering barrier (perpendicular outstanding fills
+    of the same tile hold a new one back) is skipped outright when no
+    perpendicular fill is outstanding.
+    """
+
+    __slots__ = ("pending_tiles",)
+
+    def __init__(self, level) -> None:
+        super().__init__(level)
+        self.pending_tiles: Dict[int, int] = {}
+
+    def _mshr_retire(self, now: int) -> None:
+        heap = self.pending_heap
+        pending = self.pending
         tiles = self.pending_tiles
         while heap and heap[0][0] <= now:
             line = heappop(heap)[1]
-            del pending_at[line]
-            del pending_lvl[line]
+            del pending[line]
             key = line >> 3
             count = tiles[key] - 1
             if count:
@@ -552,24 +567,29 @@ class _FlatStore:
                 del tiles[key]
 
     def _mshr_insert(self, line: int, completion: int, level: int) -> None:
-        """Reserve + record an entry (``allocate`` then ``record``)."""
-        self.pending_at[line] = completion
-        self.pending_lvl[line] = level
-        heappush(self.pending_heap, (completion, line))
-        tiles = self.pending_tiles
+        _FlatStore._mshr_insert(self, line, completion, level)
         key = line >> 3
-        count = tiles.get(key)
-        tiles[key] = 1 if count is None else count + 1
-        self.c_allocations.value += 1
-        self.c_fills.value += 1
+        self.pending_tiles[key] = self.pending_tiles.get(key, 0) + 1
 
-    def _outstanding(self, line: int, now: int):
-        """``MshrFile.outstanding_fill`` over the private pending file."""
-        self._mshr_retire(now)
-        return self.pending_at.get(line)
+    def _mshr_admit(self, line: int, now: int) -> int:
+        """The ordering barrier, then the full-file stalls
+        (``MshrFile.fetch_slot(..., ordered=True)`` past its coalesce
+        check)."""
+        issue = now
+        perp_key = (line >> 3) ^ 1
+        if self.pending_tiles.get(perp_key):
+            c_blocks = self.c_ordering_blocks
+            for other, entry in self.pending.items():
+                if other >> 3 == perp_key:
+                    if entry[0] > issue:
+                        issue = entry[0]
+                    c_blocks.value += 1
+            if issue > now:
+                self._mshr_retire(issue)
+        return self._mshr_stall(issue)
 
 
-class _Kernel2L(_FlatStore):
+class _Kernel2L(_OrderedStore):
     """Flat-store mirror of :class:`repro.cache.cache_1p2l.Cache1P2L`."""
 
     __slots__ = (
@@ -594,12 +614,13 @@ class _Kernel2L(_FlatStore):
         self.c_duplicate_evictions = \
             stats.counter("duplicate_evictions")
 
-    def _set_base(self, line: int) -> int:
+    def set_of(self, line: int) -> OrderedDict:
+        """The LRU set ``line`` maps to (either index mapping)."""
         if self.same_set:
             number = line >> 4
         else:
             number = (line >> 4) + (line & 7)
-        return (number % self.num_sets) * self.assoc
+        return self.sets[number % self.num_sets]
 
     def orientation_occupancy(self):
         """(row, column) resident lines: ``tile_count`` keys carry the
@@ -613,15 +634,14 @@ class _Kernel2L(_FlatStore):
     def scalar_read_tail(self, preferred: int, other: int, now: int):
         """``_scalar_read`` after the preferred-orientation probe missed."""
         self.c_tag_probes.value += 2
-        slot = self.slot_of.get(other)
-        if slot is not None:
+        lru = self.slot_of.get(other)
+        if lru is not None:
             self.c_misoriented.value += 1
-            return (self._hit_completion(other, slot, now)
-                    + self.hit_latency + self.tag_latency,
-                    self.level_index)
-        probe_cost = 2 * self.tag_latency
-        completion, level = self.fill_line(preferred, now + probe_cost,
-                                           _SCALAR)
+            lru.move_to_end(other)
+            return (self._data_ready(other, now) + self.hit_latency
+                    + self.tag_latency, self.level_index)
+        completion, level = self.fill_line(
+            preferred, now + 2 * self.tag_latency, _SCALAR)
         return completion + self.data_latency, level
 
     def scalar_write_tail(self, preferred: int, other: int,
@@ -630,24 +650,24 @@ class _Kernel2L(_FlatStore):
         self.c_tag_probes.value += 2
         probe_cost = 2 * self.tag_latency
         slots = self.slot_of
-        slot = slots.get(preferred)
-        if slot is not None:
+        lru = slots.get(preferred)
+        if lru is not None:
             if other in slots:
                 self.evict_line(other, now, duplicate=True)
-            self.meta[slot] |= pref_bit << 8
-            self._touch(slot)
+            lru[preferred] |= pref_bit
+            lru.move_to_end(preferred)
             return (now + probe_cost + self.data_write_latency,
                     self.level_index)
-        slot = slots.get(other)
-        if slot is not None:
+        lru = slots.get(other)
+        if lru is not None:
             self.c_misoriented.value += 1
-            self.meta[slot] |= other_bit << 8
-            self._touch(slot)
+            lru[other] |= other_bit
+            lru.move_to_end(other)
             return (now + probe_cost + self.data_write_latency,
                     self.level_index)
         completion, level = self.fill_line(preferred, now + probe_cost,
                                            _SCALAR)
-        self.meta[slots[preferred]] |= pref_bit << 8
+        slots[preferred][preferred] |= pref_bit
         return completion + self.data_write_latency, level
 
     def vector_write_tail(self, line: int, now: int):
@@ -660,15 +680,15 @@ class _Kernel2L(_FlatStore):
             for k in range(8):
                 if base_perp | k in slots:
                     self.evict_line(base_perp | k, now, duplicate=True)
-        slot = slots.get(line)
-        if slot is not None:
-            self.meta[slot] |= 0xFF << 8
-            self._touch(slot)
+        lru = slots.get(line)
+        if lru is not None:
+            lru[line] = 0xFF
+            lru.move_to_end(line)
             return (now + probe_cost + self.data_write_latency,
                     self.level_index)
         completion, level = self.fill_line(line, now + probe_cost,
                                            _VECTOR)
-        self.meta[slots[line]] |= 0xFF << 8
+        slots[line][line] = 0xFF
         return completion + self.data_write_latency, level
 
     # -- inter-level protocol ------------------------------------------------
@@ -676,25 +696,11 @@ class _Kernel2L(_FlatStore):
     def fetch_line(self, line: int, now: int, width):
         self.c_fetch_requests.value += 1
         self.c_tag_probes.value += 1
-        slot = self.slot_of.get(line)
-        if slot is not None:
-            # Inlined touch + data-ready: this is the hot lower-level
-            # hit serving an upper-level miss.
-            meta = self.meta
-            stamp = self.age[0]
-            if stamp >= AGE_LIMIT:
-                self._compact_ages()
-                stamp = self.age[0]
-            self.age[0] = stamp + 1
-            meta[slot] = (meta[slot] & _META_LOW) | (stamp << 16)
-            ready = self.ready_at.get(line)
-            if ready is not None:
-                if ready <= now:
-                    del self.ready_at[line]
-                else:
-                    self.c_early_hit_waits.value += 1
-                    return ready + self.hit_latency, self.level_index
-            return now + self.hit_latency, self.level_index
+        lru = self.slot_of.get(line)
+        if lru is not None:
+            lru.move_to_end(line)
+            return (self._data_ready(line, now) + self.hit_latency,
+                    self.level_index)
         completion, level = self.fill_line(line, now + self.tag_latency,
                                            width)
         return completion + self.data_latency, level
@@ -711,10 +717,10 @@ class _Kernel2L(_FlatStore):
                     self.evict_line(base_perp | offset, now,
                                     duplicate=True)
             self.clean_intersecting(line, now)
-        slot = slots.get(line)
-        if slot is not None:
-            self.meta[slot] |= dirty_mask << 8
-            self._touch(slot)
+        lru = slots.get(line)
+        if lru is not None:
+            lru[line] |= dirty_mask
+            lru.move_to_end(line)
         else:
             self.install(line, now, dirty_mask)
         return now + 2 * self.tag_latency
@@ -725,193 +731,54 @@ class _Kernel2L(_FlatStore):
         """Fig. 9 "read to duplicate": flush dirty crossings first.
 
         Callers gate on ``tile_count`` holding perpendicular residents,
-        so this always scans.
+        so this always scans.  Cleaning leaves LRU order alone.
         """
         slots_get = self.slot_of.get
-        meta = self.meta
         bit = 1 << (line & 7)
         base_perp = (line & -16) | ((line & 8) ^ 8)
         for k in range(8):
-            slot = slots_get(base_perp | k)
-            if slot is None:
+            perp = base_perp | k
+            lru = slots_get(perp)
+            if lru is None:
                 continue
-            mask = (meta[slot] >> 8) & 0xFF
+            mask = lru[perp]
             if mask & bit:
-                self.lower.writeback_line(base_perp | k, mask, now)
-                meta[slot] &= ~(0xFF << 8)
+                self.lower.writeback_line(perp, mask, now)
+                lru[perp] = 0
                 self.c_duplicate_cleans.value += 1
 
     def fill_line(self, line: int, now: int, width):
-        """Clean crossings, fetch through the (inlined) MSHR, install.
-
-        The whole miss transaction — lazy MSHR retire, 2-D ordering
-        barrier, structural stalls, the fetch below, victim selection
-        and eviction — runs in this one frame; only the recursive hop
-        to the lower level and the rare dirty-victim writeback are
-        calls.  Bit-identical to ``Cache1P2L._fill_line`` +
-        ``MshrFile.fetch_slot`` + ``_install``.
-        """
+        """Clean crossings, fetch through the MSHR, install
+        (``Cache1P2L._fill_line``); the span loop inlines this for
+        the vector-read miss."""
         if self.tile_count.get((line >> 3) ^ 1):
             self.clean_intersecting(line, now)
-        # -- MshrFile.fetch_slot(line, now, ordered=True), inlined.
-        # Retirement is eager, as in the object path: as a lower
-        # level this method runs at the *upper* level's issue times,
-        # which are not monotonic (a barrier- or stall-raised issue
-        # can precede a later call's smaller clock), and the object's
-        # retirement is permanent at the high-water mark — lazily
-        # filtering by the current ``now`` would resurrect retired
-        # entries into the barrier and capacity checks.  The heap head
-        # gates the sweep, so it is O(1) when nothing can have retired.
-        self._mshr_retire(now)
-        pending_at = self.pending_at
-        completion = pending_at.get(line)
-        if completion is not None:
-            self.c_mshr_coalesced.value += 1
-            level = self.pending_lvl[line]
-        else:
-            issue = now
-            if pending_at:
-                # 2-D ordering: perpendicular outstanding fills of the
-                # same tile hold this one back.  ``pending_tiles``
-                # knows whether any might exist without scanning.
-                perp_key = (line >> 3) ^ 1
-                if self.pending_tiles.get(perp_key):
-                    c_blocks = self.c_ordering_blocks
-                    for other, at in pending_at.items():
-                        if other >> 3 == perp_key:
-                            if at > issue:
-                                issue = at
-                            c_blocks.value += 1
-                    if issue > now:
-                        self._mshr_retire(issue)
-                c_stalls = self.c_full_stalls
-                while len(pending_at) >= self.mshr_capacity:
-                    stall_until = self.pending_heap[0][0]
-                    if stall_until > issue:
-                        issue = stall_until
-                    c_stalls.value += 1
-                    self._mshr_retire(stall_until)
-            lget = self.lower_slots_get
-            lslot = lget(line) if lget is not None else None
-            if lslot is not None:
-                # Lower-level hit, inlined (its fetch_line fast path:
-                # count, touch, data-ready — nothing else).
-                lower = self.lower_store
-                lower.c_fetch_requests.value += 1
-                lower.c_tag_probes.value += 1
-                lmeta = lower.meta
-                lstamp = lower.age[0]
-                if lstamp >= AGE_LIMIT:
-                    lower._compact_ages()
-                    lstamp = lower.age[0]
-                lower.age[0] = lstamp + 1
-                lmeta[lslot] = (lmeta[lslot] & _META_LOW) \
-                    | (lstamp << 16)
-                level = lower.level_index
-                completion = issue + lower.hit_latency
-                lready = lower.ready_at.get(line)
-                if lready is not None:
-                    if lready <= issue:
-                        del lower.ready_at[line]
-                    else:
-                        lower.c_early_hit_waits.value += 1
-                        completion = lready + lower.hit_latency
-            else:
-                completion, level = self.lower.fetch_line(line, issue,
-                                                          width)
-            # -- MshrFile.record, inlined --
-            pending_at[line] = completion
-            self.pending_lvl[line] = level
-            heappush(self.pending_heap, (completion, line))
-            tiles = self.pending_tiles
-            tkey = line >> 3
-            count = tiles.get(tkey)
-            tiles[tkey] = 1 if count is None else count + 1
-            self.c_allocations.value += 1
-            self.c_fills.value += 1
-        # -- _install(line, completion, dirty=0), inlined.  One scan
-        # finds the victim: invalid slots hold meta == 0 and therefore
-        # win the argmin before any valid slot, and among invalid slots
-        # (or among valid ones, whose age stamps are unique) the strict
-        # ``<`` keeps the first — exactly the object path's choice. --
-        if self.same_set:
-            number = line >> 4
-        else:
-            number = (line >> 4) + (line & 7)
-        base = (number % self.num_sets) * self.assoc
-        meta = self.meta
-        free = base
-        best = meta[base]
-        for slot in range(base + 1, base + self.assoc):
-            m = meta[slot]
-            if m < best:
-                best = m
-                free = slot
-        if best & 1:
-            victim = self.tags[free]
-            del self.slot_of[victim]
-            vkey = victim >> 3
-            tile_count = self.tile_count
-            count = tile_count[vkey] - 1
-            if count:
-                tile_count[vkey] = count
-            else:
-                del tile_count[vkey]
-            self.c_evictions.value += 1
-            vmask = (best >> 8) & 0xFF
-            if vmask:
-                self.c_writebacks_out.value += 1
-                self.lower.writeback_line(victim, vmask, completion)
-        stamp = self.age[0]
-        if stamp >= AGE_LIMIT:
-            self._compact_ages()
-            stamp = self.age[0]
-        self.age[0] = stamp + 1
-        self.tags[free] = line
-        meta[free] = (stamp << 16) | (((line >> 3) & 1) << 1) | 1
-        self.slot_of[line] = free
-        key = line >> 3
-        tile_count = self.tile_count
-        count = tile_count.get(key)
-        tile_count[key] = 1 if count is None else count + 1
+        completion, level = self._fetch_below(line, now, width)
+        self.install(line, completion, 0)
         ready = completion + self.data_latency
         if ready > now:
             self.ready_at[line] = ready
         return completion, level
 
     def install(self, line: int, now: int, dirty_mask: int) -> None:
-        base = self._set_base(line)
-        meta = self.meta
-        # Single victim scan: an invalid slot (meta == 0) beats every
-        # valid one; among valid slots the smallest meta word is the
-        # smallest age stamp, i.e. exactly the LruSet victim.
-        free = base
-        best = meta[base]
-        for slot in range(base + 1, base + self.assoc):
-            if meta[slot] < best:
-                best = meta[slot]
-                free = slot
-        if best & 1:
-            victim = self.tags[free]
+        lru = self.set_of(line)
+        if len(lru) >= self.assoc:
+            victim, mask = lru.popitem(last=False)
             del self.slot_of[victim]
-            self._evict(free, victim, now, duplicate=False)
-        self.tags[free] = line
-        meta[free] = (self._stamp() << 16) | ((dirty_mask & 0xFF) << 8) \
-            | (((line >> 3) & 1) << 1) | 1
-        self.slot_of[line] = free
+            self._evicted(victim, mask, now, duplicate=False)
+        lru[line] = dirty_mask
+        self.slot_of[line] = lru
         key = line >> 3
-        count = self.tile_count.get(key)
-        self.tile_count[key] = 1 if count is None else count + 1
+        self.tile_count[key] = self.tile_count.get(key, 0) + 1
 
     def evict_line(self, line: int, now: int, duplicate: bool) -> None:
-        slot = self.slot_of.pop(line)
-        self._evict(slot, line, now, duplicate)
+        mask = self.slot_of.pop(line).pop(line)
+        self._evicted(line, mask, now, duplicate)
 
-    def _evict(self, slot: int, line: int, now: int,
-               duplicate: bool) -> None:
-        meta = self.meta
-        mask = (meta[slot] >> 8) & 0xFF
-        meta[slot] = 0
+    def _evicted(self, line: int, mask: int, now: int,
+                 duplicate: bool) -> None:
+        """Count a line that just left its set; write back its dirty
+        words."""
         key = line >> 3
         count = self.tile_count[key] - 1
         if count:
@@ -928,12 +795,21 @@ class _Kernel2L(_FlatStore):
 
 
 class _Kernel1L(_FlatStore):
-    """Flat-store mirror of :class:`repro.cache.cache_1p1l.Cache1P1L`."""
+    """Flat-store mirror of :class:`repro.cache.cache_1p1l.Cache1P1L`.
+
+    The span loop serves every demand access inline; a prefetching
+    LLC keeps its stride prefetcher's one table entry (reference 0:
+    the LLC trains on the miss stream) as three ints — last address
+    ``pf_last`` (-1 before the first observation), ``pf_stride`` and
+    ``pf_confidence`` — which the loop trains and :meth:`prefetch`
+    acts on.
+    """
 
     __slots__ = (
-        "write_latency", "prefetch_enabled", "prefetcher",
-        "c_prefetch_fills", "c_writebacks_in", "c_writebacks_out",
-        "c_evictions",
+        "write_latency", "prefetch_enabled", "prefetch_degree",
+        "prefetch_threshold", "prefetch_stats", "pf_last", "pf_stride",
+        "pf_confidence", "c_prefetch_fills", "c_writebacks_in",
+        "c_writebacks_out", "c_evictions",
     )
 
     def __init__(self, level) -> None:
@@ -941,241 +817,99 @@ class _Kernel1L(_FlatStore):
         cfg = self.cfg
         self.write_latency = cfg.hit_latency + cfg.write_extra_latency
         self.prefetch_enabled = cfg.prefetcher.enabled
-        self.prefetcher = level.prefetcher
+        self.prefetch_degree = cfg.prefetcher.degree
+        self.prefetch_threshold = cfg.prefetcher.train_threshold
+        # The object prefetcher's group: ``prefetches_generated``
+        # appears in it exactly when the object path first adds to it.
+        self.prefetch_stats = level.prefetcher._stats
+        self.pf_last = -1
+        self.pf_stride = 0
+        self.pf_confidence = 0
         stats = level.stats
         self.c_prefetch_fills = stats.counter("prefetch_fills")
         self.c_writebacks_in = stats.counter("writebacks_in")
         self.c_writebacks_out = stats.counter("writebacks_out")
         self.c_evictions = stats.counter("evictions")
 
-    def _set_base(self, line: int) -> int:
-        # Dense row-line number (tile << 3 | index), as the object path.
-        return ((((line >> 4) << 3) | (line & 7)) % self.num_sets) \
-            * self.assoc
-
     def orientation_occupancy(self):
         """(row, column) resident lines; a 1-D level holds rows only."""
         return len(self.slot_of), 0
 
-    # -- CPU-facing ----------------------------------------------------------
-
-    def get_line_miss(self, line: int, now: int, width,
-                      dirty_mask: int):
-        """``_get_line`` after the (already counted) probe missed.
-
-        As with :meth:`_Kernel2L.fill_line`, the MSHR transaction and
-        the install/evict run inlined in this one frame.
-        """
-        issue = now + self.tag_latency
-        # -- MshrFile.fetch_slot(line, issue, ordered=False), inlined,
-        # with eager retirement (see _Kernel2L.fill_line) --
-        self._mshr_retire(issue)
-        pending_at = self.pending_at
-        completion = pending_at.get(line)
-        if completion is not None:
-            self.c_mshr_coalesced.value += 1
-            level = self.pending_lvl[line]
-        else:
-            if len(pending_at) >= self.mshr_capacity:
-                c_stalls = self.c_full_stalls
-                while len(pending_at) >= self.mshr_capacity:
-                    stall_until = self.pending_heap[0][0]
-                    if stall_until > issue:
-                        issue = stall_until
-                    c_stalls.value += 1
-                    self._mshr_retire(stall_until)
-            lget = self.lower_slots_get
-            lslot = lget(line) if lget is not None else None
-            if lslot is not None:
-                # Lower-level hit, inlined (see _Kernel2L.fill_line).
-                lower = self.lower_store
-                lower.c_fetch_requests.value += 1
-                lower.c_tag_probes.value += 1
-                lmeta = lower.meta
-                lstamp = lower.age[0]
-                if lstamp >= AGE_LIMIT:
-                    lower._compact_ages()
-                    lstamp = lower.age[0]
-                lower.age[0] = lstamp + 1
-                lmeta[lslot] = (lmeta[lslot] & _META_LOW) \
-                    | (lstamp << 16)
-                level = lower.level_index
-                completion = issue + lower.hit_latency
-                lready = lower.ready_at.get(line)
-                if lready is not None:
-                    if lready <= issue:
-                        del lower.ready_at[line]
-                    else:
-                        lower.c_early_hit_waits.value += 1
-                        completion = lready + lower.hit_latency
-            else:
-                completion, level = self.lower.fetch_line(line, issue,
-                                                          width)
-            # -- MshrFile.record, inlined --
-            pending_at[line] = completion
-            self.pending_lvl[line] = level
-            heappush(self.pending_heap, (completion, line))
-            tiles = self.pending_tiles
-            tkey = line >> 3
-            count = tiles.get(tkey)
-            tiles[tkey] = 1 if count is None else count + 1
-            self.c_allocations.value += 1
-            self.c_fills.value += 1
-        # -- _install(line, completion, dirty_mask), inlined; single
-        # victim scan (see _Kernel2L.fill_line) --
-        base = ((((line >> 4) << 3) | (line & 7)) % self.num_sets) \
-            * self.assoc
-        meta = self.meta
-        free = base
-        best = meta[base]
-        for slot in range(base + 1, base + self.assoc):
-            m = meta[slot]
-            if m < best:
-                best = m
-                free = slot
-        if best & 1:
-            victim = self.tags[free]
-            del self.slot_of[victim]
-            self.c_evictions.value += 1
-            vmask = (best >> 8) & 0xFF
-            if vmask:
-                self.c_writebacks_out.value += 1
-                self.lower.writeback_line(victim, vmask, completion)
-        stamp = self.age[0]
-        if stamp >= AGE_LIMIT:
-            self._compact_ages()
-            stamp = self.age[0]
-        self.age[0] = stamp + 1
-        self.tags[free] = line
-        meta[free] = (stamp << 16) | ((dirty_mask & 0xFF) << 8) | 1
-        self.slot_of[line] = free
-        done = completion + self.data_latency
-        if done > now:
-            self.ready_at[line] = done
-        return done, level
-
-    # -- inter-level protocol ------------------------------------------------
-
-    def fetch_line(self, line: int, now: int, width):
-        self.c_fetch_requests.value += 1
-        self.c_tag_probes.value += 1
-        slot = self.slot_of.get(line)
-        if slot is not None:
-            # Inlined touch + data-ready hit path.
-            meta = self.meta
-            stamp = self.age[0]
-            if stamp >= AGE_LIMIT:
-                self._compact_ages()
-                stamp = self.age[0]
-            self.age[0] = stamp + 1
-            meta[slot] = (meta[slot] & _META_LOW) | (stamp << 16)
-            completion = now + self.hit_latency
-            ready = self.ready_at.get(line)
-            if ready is not None:
-                if ready <= now:
-                    del self.ready_at[line]
-                else:
-                    self.c_early_hit_waits.value += 1
-                    completion = ready + self.hit_latency
-            result = completion, self.level_index
-        else:
-            result = self.get_line_miss(line, now, width, 0)
-        if self.prefetch_enabled:
-            self._train(line, now)
-        return result
-
     def writeback_line(self, line: int, dirty_mask: int, now: int) -> int:
         self.c_writebacks_in.value += 1
         self.c_tag_probes.value += 1
-        slot = self.slot_of.get(line)
-        if slot is not None:
-            self.meta[slot] |= dirty_mask << 8
-            self._touch(slot)
+        lru = self.slot_of.get(line)
+        if lru is not None:
+            lru[line] |= dirty_mask
+            lru.move_to_end(line)
         else:
             self.install(line, now, dirty_mask)
         return now + self.tag_latency
 
-    # -- internals ----------------------------------------------------------
-
-    def _train(self, line: int, now: int) -> None:
-        """LLC-placed stride prefetcher, trained on the miss stream."""
-        addr = ((line >> 4) << 9) | ((line & 7) << 6)
-        for pline in self.prefetcher.observe(0, addr):
-            if pline in self.slot_of:
-                continue
-            if self._outstanding(pline, now) is not None:
-                continue
-            completion, _ = self.fetch_below(pline, now, _VECTOR)
-            self.install(pline, completion, 0)
-            done = completion + self.data_latency
-            if done > now:
-                self.ready_at[pline] = done
-            self.c_prefetch_fills.value += 1
-
-    def fetch_below(self, line: int, now: int, width):
-        """``_fetch_below`` over the private MSHR (prefetch fills only;
-        demand misses run the inlined copy in :meth:`get_line_miss`)."""
-        self._mshr_retire(now)
-        pending_at = self.pending_at
-        in_flight = pending_at.get(line)
-        if in_flight is not None:
-            self.c_mshr_coalesced.value += 1
-            return ((in_flight if in_flight > now else now),
-                    self.pending_lvl[line])
-        issue = now
-        while len(pending_at) >= self.mshr_capacity:
-            stall_until = self.pending_heap[0][0]
-            if stall_until > issue:
-                issue = stall_until
-            self.c_full_stalls.value += 1
-            self._mshr_retire(stall_until)
-        completion, level = self.lower.fetch_line(line, issue, width)
-        self._mshr_insert(line, completion, level)
-        return completion, level
-
     def install(self, line: int, now: int, dirty_mask: int) -> None:
-        base = self._set_base(line)
-        meta = self.meta
-        # Single victim scan (see _Kernel2L.install).
-        free = base
-        best = meta[base]
-        for slot in range(base + 1, base + self.assoc):
-            if meta[slot] < best:
-                best = meta[slot]
-                free = slot
-        if best & 1:
-            victim = self.tags[free]
+        # Dense row-line number (tile << 3 | index), as the object path.
+        lru = self.sets[(((line >> 4) << 3) | (line & 7)) % self.num_sets]
+        if len(lru) >= self.assoc:
+            victim, mask = lru.popitem(last=False)
             del self.slot_of[victim]
-            mask = (best >> 8) & 0xFF
             self.c_evictions.value += 1
             if mask:
                 self.c_writebacks_out.value += 1
                 self.lower.writeback_line(victim, mask, now)
-        self.tags[free] = line
-        meta[free] = (self._stamp() << 16) | ((dirty_mask & 0xFF) << 8) | 1
-        self.slot_of[line] = free
+        lru[line] = dirty_mask
+        self.slot_of[line] = lru
+
+    def prefetch(self, addr: int, stride: int, now: int) -> None:
+        """The prefetcher's burst after a confirmed ``stride`` at
+        ``addr`` (``StridePrefetcher.observe`` past training, then
+        ``_train_stream_prefetcher``'s fills).
+
+        ``addr`` is a line base address, so the stride is a nonzero
+        multiple of the line size and the ``degree`` targets are
+        distinct lines.  A target already resident or in flight is
+        skipped; the rest are fetched and installed clean.
+        """
+        generated = 0
+        slots = self.slot_of
+        for k in range(1, self.prefetch_degree + 1):
+            target = addr + k * stride
+            if target < 0:
+                break
+            generated += 1
+            line = ((target >> 9) << 4) | ((target >> 6) & 7)
+            if line in slots:
+                continue
+            self._mshr_retire(now)
+            if line in self.pending:
+                continue
+            completion, _ = self._fetch_below(line, now, _VECTOR)
+            self.install(line, completion, 0)
+            done = completion + self.data_latency
+            if done > now:
+                self.ready_at[line] = done
+            self.c_prefetch_fills.value += 1
+        self.prefetch_stats.add("prefetches_generated", generated)
 
 
-class _Kernel2P2L(_FlatStore):
+class _Kernel2P2L(_OrderedStore):
     """Flat-store mirror of :class:`repro.cache.cache_2p2l.Cache2P2L`.
 
-    One slot per 512-byte 2-D block: ``tags`` holds the tile id,
-    ``meta`` only the valid bit and LRU stamp, and two parallel lists
-    pack each block's per-line state into 16-bit words in the
-    :func:`repro.cache.cache_2p2l.pack_block_word` layout — bit
-    ``line & 15`` (rows in bits 0-7, columns in 8-15) in ``present``
-    gates sparse fills and cross-direction hits, the same bit in
-    ``dirty`` drives per-line writeback accounting on eviction.
-    Covered only as the last level, so only the inter-level protocol
-    (``fetch_line`` / ``writeback_line``) is mirrored; the Design 3
-    ``access`` path stays on the object path.
+    One LRU entry per resident 512-byte 2-D block, keyed by tile id.
+    Its value packs the block's per-line state in the
+    :func:`repro.cache.cache_2p2l.pack_block_word` layout: presence in
+    bits 0-15 and dirtiness in bits 16-31, bit ``line & 15`` of each
+    (rows in the low byte, columns in the high byte).  Presence gates
+    sparse fills and cross-direction hits; the dirty word drives
+    per-line writeback accounting on eviction.  Covered only as the
+    last level, so only the inter-level protocol (``fetch_line`` /
+    ``writeback_line``) is mirrored; the Design 3 ``access`` path
+    stays on the object path.
     """
 
     __slots__ = (
-        "sparse", "write_extra", "present", "dirty",
-        "c_cross_direction_hits", "c_partial_block_hits",
-        "c_writebacks_in", "c_writebacks_out", "c_dense_fill_lines",
-        "c_evictions",
+        "sparse", "write_extra", "c_cross_direction_hits",
+        "c_partial_block_hits", "c_writebacks_in", "c_writebacks_out",
+        "c_dense_fill_lines", "c_evictions",
     )
 
     def __init__(self, level) -> None:
@@ -1183,9 +917,6 @@ class _Kernel2P2L(_FlatStore):
         cfg = self.cfg
         self.sparse = cfg.sparse_fill
         self.write_extra = cfg.write_extra_latency
-        nslots = cfg.num_sets * cfg.assoc
-        self.present: List[int] = [0] * nslots
-        self.dirty: List[int] = [0] * nslots
         stats = level.stats
         self.c_cross_direction_hits = \
             stats.counter("cross_direction_hits")
@@ -1196,13 +927,12 @@ class _Kernel2P2L(_FlatStore):
         self.c_evictions = stats.counter("evictions")
 
     def orientation_occupancy(self):
-        """(row, column) present lines over the valid blocks' words."""
-        present = self.present
+        """(row, column) present lines over the resident blocks."""
         rows = cols = 0
-        for slot in self.slot_of.values():
-            word = present[slot]
+        for tile, lru in self.slot_of.items():
+            word = lru[tile]
             rows += (word & 0xFF).bit_count()
-            cols += (word >> 8).bit_count()
+            cols += (word & 0xFF00).bit_count()
         return rows, cols
 
     # -- inter-level protocol ------------------------------------------------
@@ -1210,18 +940,20 @@ class _Kernel2P2L(_FlatStore):
     def fetch_line(self, line: int, now: int, width):
         self.c_fetch_requests.value += 1
         self.c_tag_probes.value += 1
-        slot = self.slot_of.get(line >> 4)
-        if slot is not None:
-            presence = self.present[slot]
+        tile = line >> 4
+        lru = self.slot_of.get(tile)
+        if lru is not None:
+            word = lru[tile]
             bit = 1 << (line & 15)
-            if presence & bit:
-                return (self._hit_completion(line, slot, now)
-                        + self.hit_latency, self.level_index)
-            if (presence & 0xFF) == 0xFF or (presence >> 8) == 0xFF:
+            if word & bit:
+                lru.move_to_end(tile)
+                return (self._data_ready(line, now) + self.hit_latency,
+                        self.level_index)
+            if word & 0xFF == 0xFF or word & 0xFF00 == 0xFF00:
                 # Every word is resident via the other direction; the
                 # crosspoint array streams it out either way.
-                self.present[slot] = presence | bit
-                self._touch(slot)
+                lru[tile] = word | bit
+                lru.move_to_end(tile)
                 self.c_cross_direction_hits.value += 1
                 return now + self.hit_latency, self.level_index
             self.c_partial_block_hits.value += 1
@@ -1233,88 +965,44 @@ class _Kernel2P2L(_FlatStore):
         self.c_writebacks_in.value += 1
         self.c_tag_probes.value += 1
         tile = line >> 4
-        slot = self.slot_of.get(tile)
-        if slot is None:
-            slot = self._allocate_slot(tile, now)
+        lru = self.slot_of.get(tile)
+        if lru is None:
+            lru = self._allocate(tile, now)
             if not self.sparse:
-                self._fill_whole_block(slot, tile, (line >> 3) & 1,
-                                       now, line & 7)
+                self._fill_whole_block(lru, tile, (line >> 3) & 1, now,
+                                       line & 7)
         else:
-            self._touch(slot)
+            lru.move_to_end(tile)
         bit = 1 << (line & 15)
-        self.present[slot] |= bit
-        self.dirty[slot] |= bit
+        lru[tile] |= bit | bit << 16
         return now + self.tag_latency + self.write_extra
 
     # -- internals ----------------------------------------------------------
 
-    def _fetch_below(self, line: int, now: int, width):
-        """``MshrFile.fetch_slot(..., ordered=True)`` + fetch + record.
-
-        Unlike :meth:`_Kernel2L.fill_line`, this sweeps retired
-        entries *eagerly* at every call: dense fills chain fetches at
-        horizon times far ahead of the CPU clock, so call times are
-        not monotonic, and the object path's eager retirement is
-        permanent at the high-water mark — a lazy same-``now`` filter
-        would resurrect long-retired entries for the capacity check
-        and stall spuriously.  The heap head gates the sweep, so it
-        stays O(1) when nothing can have retired.
-        """
-        self._mshr_retire(now)
-        pending_at = self.pending_at
-        completion = pending_at.get(line)
-        if completion is not None:
-            self.c_mshr_coalesced.value += 1
-            return ((completion if completion > now else now),
-                    self.pending_lvl[line])
-        issue = now
-        if pending_at:
-            # 2-D ordering: perpendicular outstanding fills of the
-            # same tile hold this one back.
-            perp_key = (line >> 3) ^ 1
-            if self.pending_tiles.get(perp_key):
-                c_blocks = self.c_ordering_blocks
-                for other, at in pending_at.items():
-                    if other >> 3 == perp_key:
-                        if at > issue:
-                            issue = at
-                        c_blocks.value += 1
-                if issue > now:
-                    self._mshr_retire(issue)
-            c_stalls = self.c_full_stalls
-            while len(pending_at) >= self.mshr_capacity:
-                stall_until = self.pending_heap[0][0]
-                if stall_until > issue:
-                    issue = stall_until
-                c_stalls.value += 1
-                self._mshr_retire(stall_until)
-        completion, level = self.lower.fetch_line(line, issue, width)
-        self._mshr_insert(line, completion, level)
-        return completion, level
-
     def _fill_block_line(self, line: int, now: int, width):
         """``_fill_line_into_block``: allocate/touch, fetch, mark."""
         tile = line >> 4
-        slot = self.slot_of.get(tile)
-        if slot is None:
-            slot = self._allocate_slot(tile, now)
+        lru = self.slot_of.get(tile)
+        if lru is None:
+            lru = self._allocate(tile, now)
         else:
-            self._touch(slot)
+            lru.move_to_end(tile)
         completion, level = self._fetch_below(line, now, width)
         # Filling writes the crosspoint array; asymmetric technologies
         # pay their write latency here.
         completion += self.write_extra
-        self.present[slot] |= 1 << (line & 15)
+        lru[tile] |= 1 << (line & 15)
         ready = completion + self.data_latency
         if ready > now:
             self.ready_at[line] = ready
         if not self.sparse:
-            self._fill_whole_block(slot, tile, (line >> 3) & 1,
+            self._fill_whole_block(lru, tile, (line >> 3) & 1,
                                    completion, line & 7)
         return completion, level
 
-    def _fill_whole_block(self, slot: int, tile: int, orient_bit: int,
-                          now: int, skip_index: int) -> None:
+    def _fill_whole_block(self, lru: OrderedDict, tile: int,
+                          orient_bit: int, now: int,
+                          skip_index: int) -> None:
         """Dense fill: stream the remaining lines behind the first."""
         base_line = (tile << 4) | (orient_bit << 3)
         horizon = now
@@ -1325,31 +1013,21 @@ class _Kernel2P2L(_FlatStore):
             horizon, _ = self._fetch_below(base_line | k, horizon,
                                            _VECTOR)
             c_dense.value += 1
-        self.present[slot] = 0xFFFF
+        lru[tile] |= 0xFFFF
 
-    def _allocate_slot(self, tile: int, now: int) -> int:
-        """Victim scan + insert (``_allocate_block`` mirror)."""
-        base = (tile % self.num_sets) * self.assoc
-        meta = self.meta
-        free = base
-        best = meta[base]
-        for slot in range(base + 1, base + self.assoc):
-            m = meta[slot]
-            if m < best:
-                best = m
-                free = slot
-        if best & 1:
-            victim = self.tags[free]
+    def _allocate(self, tile: int, now: int) -> OrderedDict:
+        """``_allocate_block``: evict the set's LRU block when full,
+        then insert an empty block; returns the set."""
+        lru = self.sets[tile % self.num_sets]
+        if len(lru) >= self.assoc:
+            victim, word = lru.popitem(last=False)
             del self.slot_of[victim]
-            self._evict_slot(free, victim, now)
-        self.tags[free] = tile
-        meta[free] = (self._stamp() << 16) | 1
-        self.present[free] = 0
-        self.dirty[free] = 0
-        self.slot_of[tile] = free
-        return free
+            self._evict_block(victim, word >> 16, now)
+        lru[tile] = 0
+        self.slot_of[tile] = lru
+        return lru
 
-    def _evict_slot(self, slot: int, tile: int, now: int) -> None:
+    def _evict_block(self, tile: int, dirty_word: int, now: int) -> None:
         """Write back every dirty line of the victim block.
 
         Never-filled lines have no dirty bits, so sparse blocks elide
@@ -1357,7 +1035,6 @@ class _Kernel2P2L(_FlatStore):
         ascending in-tile index — the object path's exact order.
         """
         self.c_evictions.value += 1
-        dirty_word = self.dirty[slot]
         if dirty_word:
             writeback = self.lower.writeback_line
             c_out = self.c_writebacks_out
@@ -1371,9 +1048,9 @@ class _Kernel2P2L(_FlatStore):
 class KernelEngine:
     """A chain of flat-store kernel levels over the hierarchy's memory.
 
-    Built from (and sharing every statistics cell, MSHR file, and the
-    memory port with) an already-constructed :class:`CacheHierarchy`
-    whose design :func:`supports` covers.
+    Built from (and sharing every statistics cell, MSHR counter and
+    the memory port with) an already-constructed
+    :class:`CacheHierarchy` whose design :func:`supports` covers.
     """
 
     def __init__(self, hierarchy) -> None:
@@ -1389,16 +1066,6 @@ class KernelEngine:
                 self.levels.append(_Kernel1L(level))
         for upper, lower in zip(self.levels, self.levels[1:]):
             upper.lower = lower
-            # A lower level's hit path may be served inline by the
-            # upper level's fill paths only when it has no side
-            # effects beyond touch/ready bookkeeping: _Kernel2P2L is
-            # excluded (cross-direction and partial-block branches),
-            # as is a prefetching _Kernel1L.
-            if isinstance(lower, _Kernel2L) or (
-                    isinstance(lower, _Kernel1L)
-                    and not lower.prefetch_enabled):
-                upper.lower_store = lower
-                upper.lower_slots_get = lower.slot_of.get
         self.levels[-1].lower = hierarchy.port
         predictor = getattr(hierarchy.l1, "predictor", None)
         self.l1_predictor = _FlatPredictor(predictor) \
@@ -1409,6 +1076,7 @@ class KernelEngine:
         stores (``CacheHierarchy.occupancy_by_level``'s mirror)."""
         return {store.cfg.name: store.orientation_occupancy()
                 for store in self.levels}
+
 
     def replay(self, trace, cpu_config, cpu_group, sampler=None,
                sample_every: int = 0) -> int:
@@ -1530,82 +1198,132 @@ def _replay_2l_span(engine: KernelEngine, packed, start, stop,
     L1, :meth:`_FlatPredictor.predict_span` has already rewritten the
     span's overridden scalar requests to their predicted lines.  One
     function, local-variable bindings only: the four request modes
-    dispatch on two packed-word bits, the plain-hit cases complete
-    inline against the flat stores, and only misses and duplicate-copy
-    cases drop into the (still flat) slow-path methods.  The cache
-    state and the fill-path counter cells are exact after every call
-    (the inlined-fill accumulators fold on exit), but the L1
-    hit/miss/probe counts and tracked misses ride in ``state`` until
-    :func:`_flush_span` folds them, with the span's demand counts,
-    before the sampler runs; the latency histogram stays in ``state``
-    until the replay ends, as the object path's does.
+    dispatch on two packed-word bits and the plain hits complete
+    inline.  A vector-read miss — the dominant miss — runs the L1's
+    ``fill_line`` and the ``fetch_line``/``fill_line`` bodies of the
+    mid level (absent in the resident two-level shape) and of a 1P2L
+    LLC inline, MSHR mirrors included; a 2P2L LLC serves it through
+    its methods.  Scalar misses, vector writes and duplicate-copy
+    cases drop into the L1's tail methods.  The cache state and the
+    fill-path counter cells are exact after every call (the inlined
+    accumulators fold on exit), but the L1 hit/miss/probe counts and
+    tracked misses ride in ``state`` until :func:`_flush_span` folds
+    them, with the span's demand counts, before the sampler runs; the
+    latency histogram stays in ``state`` until the replay ends, as the
+    object path's does.
     """
-    l1 = engine.levels[0]
+    levels = engine.levels
+    l1 = levels[0]
+    mid = levels[1] if len(levels) == 3 else None
+    llc = levels[-1]
     now = state.now
     stalled = state.stalled
     window = state.window
     hist = state.hist
     window_size = cpu_config.mlp_window
     issue_cost = cpu_config.cycles_per_op
-    cfg = l1.cfg
-    pipelined = cfg.hit_latency + 3 * cfg.tag_latency
+    pipelined = l1.hit_latency + 3 * l1.tag_latency
     hit_latency = l1.hit_latency
     swrite_latency = 2 * l1.tag_latency + l1.data_write_latency
     vwrite_latency = 9 * l1.tag_latency + l1.data_write_latency
     hb_hit = hit_latency.bit_length()
     hb_sw = swrite_latency.bit_length()
     hb_vw = vwrite_latency.bit_length()
-    slots_get = l1.slot_of.get
-    meta_arr = l1.meta
-    ready_at = l1.ready_at
-    ready_get = ready_at.get
-    tile_get = l1.tile_count.get
-    age_cell = l1.age
-    age_limit = AGE_LIMIT
-    compact = l1._compact_ages
-    c_early = l1.c_early_hit_waits
     scalar_read_tail = l1.scalar_read_tail
     scalar_write_tail = l1.scalar_write_tail
     vector_write_tail = l1.vector_write_tail
-    data_latency = l1.data_latency
-    vprobe_cost = 9 * l1.tag_latency
     vector = _VECTOR
-    # Bindings for the fully inlined vector-read miss fill (the
-    # dominant miss type): L1 fill state, its MSHR file, and the
-    # lower level's hit fast path.
-    lower_fetch = l1.lower.fetch_line
-    lower_writeback = l1.lower.writeback_line
-    clean = l1.clean_intersecting
-    pending_at = l1.pending_at
-    pending_get = pending_at.get
-    pending_lvl = l1.pending_lvl
-    pending_tiles = l1.pending_tiles
-    ptiles_get = pending_tiles.get
-    pending_heap = l1.pending_heap
-    mshr_cap = l1.mshr_capacity
-    l1_retire = l1._mshr_retire
-    c_blocks = l1.c_ordering_blocks
-    c_stalls = l1.c_full_stalls
-    c_wb_out = l1.c_writebacks_out
-    tile_count = l1.tile_count
-    tags_arr = l1.tags
+    lvl1 = l1.level_index
+    # The L1's flat state and MSHR mirror.
     slots = l1.slot_of
-    same_set = l1.same_set
+    slots_get = slots.get
+    sets = l1.sets
     num_sets = l1.num_sets
     assoc = l1.assoc
-    l2 = l1.lower_store
-    l2slots_get = l1.lower_slots_get
-    if l2 is not None:
-        l2_meta = l2.meta
-        l2_age = l2.age
-        l2_compact = l2._compact_ages
-        l2_ready = l2.ready_at
-        l2_ready_get = l2_ready.get
-        l2_hit_latency = l2.hit_latency
-        l2_level = l2.level_index
-        l2_c_early = l2.c_early_hit_waits
-    n_coal = n_new_fills = n_evict = n_l2_serves = 0
-    lvl1 = l1.level_index
+    same_set = l1.same_set
+    tile_count = l1.tile_count
+    tile_get = tile_count.get
+    ready_at = l1.ready_at
+    ready_get = ready_at.get
+    c_early = l1.c_early_hit_waits
+    data_latency = l1.data_latency
+    vprobe_cost = 9 * l1.tag_latency
+    clean = l1.clean_intersecting
+    pending = l1.pending
+    pending_get = pending.get
+    ptiles = l1.pending_tiles
+    ptiles_get = ptiles.get
+    heap = l1.pending_heap
+    cap = l1.mshr_capacity
+    admit = l1._mshr_admit
+    stall = l1._mshr_stall
+    writeback = l1.lower.writeback_line
+    c_coal = l1.c_mshr_coalesced
+    c_wb_out = l1.c_writebacks_out
+    n_fills = n_evict = 0
+    has_mid = mid is not None
+    if has_mid:
+        m_slots = mid.slot_of
+        m_slots_get = m_slots.get
+        m_sets = mid.sets
+        m_num_sets = mid.num_sets
+        m_assoc = mid.assoc
+        m_same_set = mid.same_set
+        m_tile_count = mid.tile_count
+        m_tile_get = m_tile_count.get
+        m_ready = mid.ready_at
+        m_ready_get = m_ready.get
+        m_hit = mid.hit_latency
+        m_tag = mid.tag_latency
+        m_data = mid.data_latency
+        m_level = mid.level_index
+        m_clean = mid.clean_intersecting
+        m_pending = mid.pending
+        m_pending_get = m_pending.get
+        m_ptiles = mid.pending_tiles
+        m_ptiles_get = m_ptiles.get
+        m_heap = mid.pending_heap
+        m_cap = mid.mshr_capacity
+        m_admit = mid._mshr_admit
+        m_stall = mid._mshr_stall
+        m_writeback = llc.writeback_line
+        m_c_early = mid.c_early_hit_waits
+        m_c_coal = mid.c_mshr_coalesced
+        m_c_wb_out = mid.c_writebacks_out
+    m_fetches = m_fills = m_evict = 0
+    llc_flat = isinstance(llc, _Kernel2L)
+    if llc_flat:
+        l_slots = llc.slot_of
+        l_slots_get = l_slots.get
+        l_sets = llc.sets
+        l_num_sets = llc.num_sets
+        l_assoc = llc.assoc
+        l_same_set = llc.same_set
+        l_tile_count = llc.tile_count
+        l_tile_get = l_tile_count.get
+        l_ready = llc.ready_at
+        l_ready_get = l_ready.get
+        l_hit = llc.hit_latency
+        l_tag = llc.tag_latency
+        l_data = llc.data_latency
+        l_level = llc.level_index
+        l_clean = llc.clean_intersecting
+        l_pending = llc.pending
+        l_pending_get = l_pending.get
+        l_ptiles = llc.pending_tiles
+        l_ptiles_get = l_ptiles.get
+        l_heap = llc.pending_heap
+        l_cap = llc.mshr_capacity
+        l_admit = llc._mshr_admit
+        l_stall = llc._mshr_stall
+        port_fetch = llc.lower.fetch_line
+        l_writeback = llc.lower.writeback_line
+        l_c_early = llc.c_early_hit_waits
+        l_c_coal = llc.c_mshr_coalesced
+        l_c_wb_out = llc.c_writebacks_out
+    else:
+        llc_fetch = llc.fetch_line
+    l_fetches = l_fills = l_evict = 0
     n_hits = n_misses = n_probes = n_tracked = 0
     if start == 0 and stop >= len(packed):
         span = packed
@@ -1616,17 +1334,11 @@ def _replay_2l_span(engine: KernelEngine, packed, start, stop,
         mode = (p >> 4) & 3  # is_write | width << 1
         now += issue_cost
         if mode == 2:  # vector read
-            slot = slots_get(line)
-            if slot is not None:
+            lru = slots_get(line)
+            if lru is not None:
                 n_probes += 1
                 n_hits += 1
-                stamp = age_cell[0]
-                if stamp >= age_limit:
-                    compact()
-                    stamp = age_cell[0]
-                age_cell[0] = stamp + 1
-                meta_arr[slot] = (meta_arr[slot] & 0xFFFF) \
-                    | (stamp << 16)
+                lru.move_to_end(line)
                 ready = ready_get(line)
                 if ready is None:
                     hist[hb_hit] += 1
@@ -1638,112 +1350,210 @@ def _replay_2l_span(engine: KernelEngine, packed, start, stop,
                 c_early.value += 1
                 latency = ready + hit_latency - now
             else:
-                # The vector-read miss and fill_line, fully inlined
-                # for the dominant miss type: nine probes, clean gate,
-                # MSHR transaction, lower fetch (hit served in place),
-                # install/evict — all on the local bindings above.
+                # The vector-read miss: nine probes, then the L1's
+                # fill_line with the chain below it inlined.
                 n_probes += 9
                 fnow = now + vprobe_cost
-                if tile_get((line >> 3) ^ 1):
+                tkey = line >> 3
+                perp_key = tkey ^ 1
+                if tile_get(perp_key):
                     clean(line, fnow)
-                l1_retire(fnow)
-                completion = pending_get(line)
-                if completion is not None:
-                    n_coal += 1
-                    level = pending_lvl[line]
+                while heap and heap[0][0] <= fnow:
+                    done = heappop(heap)[1]
+                    del pending[done]
+                    key = done >> 3
+                    count = ptiles[key] - 1
+                    if count:
+                        ptiles[key] = count
+                    else:
+                        del ptiles[key]
+                entry = pending_get(line)
+                if entry is not None:
+                    c_coal.value += 1
+                    completion = entry[0]
+                    level = entry[2]
                 else:
                     issue = fnow
-                    if pending_at:
-                        perp_key = (line >> 3) ^ 1
-                        if ptiles_get(perp_key):
-                            for other, at in pending_at.items():
-                                if other >> 3 == perp_key:
-                                    if at > issue:
-                                        issue = at
-                                    c_blocks.value += 1
-                            if issue > fnow:
-                                l1_retire(issue)
-                        while len(pending_at) >= mshr_cap:
-                            stall_until = pending_heap[0][0]
-                            if stall_until > issue:
-                                issue = stall_until
-                            c_stalls.value += 1
-                            l1_retire(stall_until)
-                    lslot = l2slots_get(line) \
-                        if l2slots_get is not None else None
-                    if lslot is not None:
-                        n_l2_serves += 1
-                        lstamp = l2_age[0]
-                        if lstamp >= age_limit:
-                            l2_compact()
-                            lstamp = l2_age[0]
-                        l2_age[0] = lstamp + 1
-                        l2_meta[lslot] = (l2_meta[lslot] & 0xFFFF) \
-                            | (lstamp << 16)
-                        level = l2_level
-                        completion = issue + l2_hit_latency
-                        lready = l2_ready_get(line)
-                        if lready is not None:
-                            if lready <= issue:
-                                del l2_ready[line]
+                    if ptiles_get(perp_key):
+                        issue = admit(line, fnow)
+                    elif len(pending) >= cap:
+                        issue = stall(fnow)
+                    # The mid level's fetch_line: a hit completes
+                    # here, a miss runs its fill_line around the LLC
+                    # stage below (``llc_at`` < 0: no LLC fetch).
+                    llc_at = issue
+                    m_fill = False
+                    if has_mid:
+                        m_fetches += 1
+                        m_lru = m_slots_get(line)
+                        if m_lru is not None:
+                            m_lru.move_to_end(line)
+                            level = m_level
+                            completion = issue + m_hit
+                            ready = m_ready_get(line)
+                            if ready is not None:
+                                if ready <= issue:
+                                    del m_ready[line]
+                                else:
+                                    m_c_early.value += 1
+                                    completion = ready + m_hit
+                            llc_at = -1
+                        else:
+                            m_fill = True
+                            m_now = issue + m_tag
+                            if m_tile_get(perp_key):
+                                m_clean(line, m_now)
+                            while m_heap and m_heap[0][0] <= m_now:
+                                done = heappop(m_heap)[1]
+                                del m_pending[done]
+                                key = done >> 3
+                                count = m_ptiles[key] - 1
+                                if count:
+                                    m_ptiles[key] = count
+                                else:
+                                    del m_ptiles[key]
+                            entry = m_pending_get(line)
+                            if entry is not None:
+                                m_c_coal.value += 1
+                                completion = entry[0]
+                                level = entry[2]
+                                llc_at = -1
                             else:
-                                l2_c_early.value += 1
-                                completion = lready + l2_hit_latency
-                    else:
-                        completion, level = lower_fetch(line, issue,
-                                                        vector)
-                    pending_at[line] = completion
-                    pending_lvl[line] = level
-                    heappush(pending_heap, (completion, line))
-                    tkey = line >> 3
-                    cnt = ptiles_get(tkey)
-                    pending_tiles[tkey] = 1 if cnt is None else cnt + 1
-                    n_new_fills += 1
-                if same_set:
-                    number = line >> 4
-                else:
-                    number = (line >> 4) + (line & 7)
-                base = (number % num_sets) * assoc
-                free = base
-                best = meta_arr[base]
-                for s in range(base + 1, base + assoc):
-                    mm = meta_arr[s]
-                    if mm < best:
-                        best = mm
-                        free = s
-                if best & 1:
-                    victim = tags_arr[free]
+                                llc_at = m_now
+                                if m_ptiles_get(perp_key):
+                                    llc_at = m_admit(line, m_now)
+                                elif len(m_pending) >= m_cap:
+                                    llc_at = m_stall(m_now)
+                    if llc_at >= 0:
+                        if llc_flat:
+                            # The 1P2L LLC's fetch_line and fill_line.
+                            l_fetches += 1
+                            l_lru = l_slots_get(line)
+                            if l_lru is not None:
+                                l_lru.move_to_end(line)
+                                level = l_level
+                                completion = llc_at + l_hit
+                                ready = l_ready_get(line)
+                                if ready is not None:
+                                    if ready <= llc_at:
+                                        del l_ready[line]
+                                    else:
+                                        l_c_early.value += 1
+                                        completion = ready + l_hit
+                            else:
+                                l_now = llc_at + l_tag
+                                if l_tile_get(perp_key):
+                                    l_clean(line, l_now)
+                                while l_heap and l_heap[0][0] <= l_now:
+                                    done = heappop(l_heap)[1]
+                                    del l_pending[done]
+                                    key = done >> 3
+                                    count = l_ptiles[key] - 1
+                                    if count:
+                                        l_ptiles[key] = count
+                                    else:
+                                        del l_ptiles[key]
+                                entry = l_pending_get(line)
+                                if entry is not None:
+                                    l_c_coal.value += 1
+                                    completion = entry[0]
+                                    level = entry[2]
+                                else:
+                                    fetch_at = l_now
+                                    if l_ptiles_get(perp_key):
+                                        fetch_at = l_admit(line, l_now)
+                                    elif len(l_pending) >= l_cap:
+                                        fetch_at = l_stall(l_now)
+                                    completion, level = port_fetch(
+                                        line, fetch_at, vector)
+                                    entry = (completion, line, level)
+                                    l_pending[line] = entry
+                                    heappush(l_heap, entry)
+                                    l_ptiles[tkey] = l_ptiles_get(tkey, 0) + 1
+                                    l_fills += 1
+                                number = line >> 4 if l_same_set \
+                                    else (line >> 4) + (line & 7)
+                                l_lru = l_sets[number % l_num_sets]
+                                if len(l_lru) >= l_assoc:
+                                    victim, mask = l_lru.popitem(False)
+                                    del l_slots[victim]
+                                    key = victim >> 3
+                                    count = l_tile_count[key] - 1
+                                    if count:
+                                        l_tile_count[key] = count
+                                    else:
+                                        del l_tile_count[key]
+                                    l_evict += 1
+                                    if mask:
+                                        l_c_wb_out.value += 1
+                                        l_writeback(victim, mask,
+                                                    completion)
+                                l_lru[line] = 0
+                                l_slots[line] = l_lru
+                                l_tile_count[tkey] = l_tile_get(tkey, 0) + 1
+                                completion += l_data
+                                if completion > l_now:
+                                    l_ready[line] = completion
+                        else:
+                            completion, level = llc_fetch(line, llc_at,
+                                                          vector)
+                        if m_fill:
+                            entry = (completion, line, level)
+                            m_pending[line] = entry
+                            heappush(m_heap, entry)
+                            m_ptiles[tkey] = m_ptiles_get(tkey, 0) + 1
+                            m_fills += 1
+                    if m_fill:
+                        number = line >> 4 if m_same_set \
+                            else (line >> 4) + (line & 7)
+                        m_lru = m_sets[number % m_num_sets]
+                        if len(m_lru) >= m_assoc:
+                            victim, mask = m_lru.popitem(False)
+                            del m_slots[victim]
+                            key = victim >> 3
+                            count = m_tile_count[key] - 1
+                            if count:
+                                m_tile_count[key] = count
+                            else:
+                                del m_tile_count[key]
+                            m_evict += 1
+                            if mask:
+                                m_c_wb_out.value += 1
+                                m_writeback(victim, mask, completion)
+                        m_lru[line] = 0
+                        m_slots[line] = m_lru
+                        m_tile_count[tkey] = m_tile_get(tkey, 0) + 1
+                        completion += m_data
+                        if completion > m_now:
+                            m_ready[line] = completion
+                    entry = (completion, line, level)
+                    pending[line] = entry
+                    heappush(heap, entry)
+                    ptiles[tkey] = ptiles_get(tkey, 0) + 1
+                    n_fills += 1
+                number = line >> 4 if same_set \
+                    else (line >> 4) + (line & 7)
+                lru = sets[number % num_sets]
+                if len(lru) >= assoc:
+                    victim, mask = lru.popitem(False)
                     del slots[victim]
-                    vkey = victim >> 3
-                    cnt = tile_count[vkey] - 1
-                    if cnt:
-                        tile_count[vkey] = cnt
+                    key = victim >> 3
+                    count = tile_count[key] - 1
+                    if count:
+                        tile_count[key] = count
                     else:
-                        del tile_count[vkey]
+                        del tile_count[key]
                     n_evict += 1
-                    vmask = (best >> 8) & 0xFF
-                    if vmask:
+                    if mask:
                         c_wb_out.value += 1
-                        lower_writeback(victim, vmask, completion)
-                stamp = age_cell[0]
-                if stamp >= age_limit:
-                    compact()
-                    stamp = age_cell[0]
-                age_cell[0] = stamp + 1
-                tags_arr[free] = line
-                meta_arr[free] = (stamp << 16) | ((line >> 2) & 2) | 1
-                slots[line] = free
-                tkey = line >> 3
-                cnt = tile_get(tkey)
-                tile_count[tkey] = 1 if cnt is None else cnt + 1
-                ready = completion + data_latency
-                if ready > fnow:
-                    ready_at[line] = ready
+                        writeback(victim, mask, completion)
+                lru[line] = 0
+                slots[line] = lru
+                tile_count[tkey] = tile_get(tkey, 0) + 1
                 completion += data_latency
-                if level == lvl1:
-                    n_hits += 1
-                else:
-                    n_misses += 1
+                if completion > fnow:
+                    ready_at[line] = completion
+                n_misses += 1  # served below the L1
                 latency = completion - now
             hist[latency.bit_length()] += 1
             if latency > pipelined:
@@ -1755,17 +1565,11 @@ def _replay_2l_span(engine: KernelEngine, packed, start, stop,
                         stalled += earliest - now
                         now = earliest
         elif mode == 0:  # scalar read
-            slot = slots_get(line)
-            if slot is not None:
+            lru = slots_get(line)
+            if lru is not None:
                 n_probes += 1
                 n_hits += 1
-                stamp = age_cell[0]
-                if stamp >= age_limit:
-                    compact()
-                    stamp = age_cell[0]
-                age_cell[0] = stamp + 1
-                meta_arr[slot] = (meta_arr[slot] & 0xFFFF) \
-                    | (stamp << 16)
+                lru.move_to_end(line)
                 ready = ready_get(line)
                 if ready is None:
                     hist[hb_hit] += 1
@@ -1794,19 +1598,14 @@ def _replay_2l_span(engine: KernelEngine, packed, start, stop,
                         stalled += earliest - now
                         now = earliest
         elif mode == 1:  # scalar write (posted; never stalls the core)
-            slot = slots_get(line)
+            lru = slots_get(line)
             offset = p & 7
             other = (line & -16) | (p & 15)
-            if slot is not None and slots_get(other) is None:
+            if lru is not None and slots_get(other) is None:
                 n_probes += 2
                 n_hits += 1
-                stamp = age_cell[0]
-                if stamp >= age_limit:
-                    compact()
-                    stamp = age_cell[0]
-                age_cell[0] = stamp + 1
-                meta_arr[slot] = (meta_arr[slot] & 0xFFFF) \
-                    | (256 << offset) | (stamp << 16)
+                lru[line] |= 1 << offset
+                lru.move_to_end(line)
                 hist[hb_sw] += 1
                 continue
             completion, level = scalar_write_tail(
@@ -1817,17 +1616,12 @@ def _replay_2l_span(engine: KernelEngine, packed, start, stop,
                 n_misses += 1
             hist[(completion - now).bit_length()] += 1
         else:  # vector write (posted)
-            slot = slots_get(line)
-            if slot is not None and tile_get((line >> 3) ^ 1) is None:
+            lru = slots_get(line)
+            if lru is not None and tile_get((line >> 3) ^ 1) is None:
                 n_probes += 9
                 n_hits += 1
-                stamp = age_cell[0]
-                if stamp >= age_limit:
-                    compact()
-                    stamp = age_cell[0]
-                age_cell[0] = stamp + 1
-                meta_arr[slot] = (meta_arr[slot] & 0xFFFF) | 0xFF00 \
-                    | (stamp << 16)
+                lru[line] = 0xFF
+                lru.move_to_end(line)
                 hist[hb_vw] += 1
                 continue
             completion, level = vector_write_tail(line, now)
@@ -1837,18 +1631,13 @@ def _replay_2l_span(engine: KernelEngine, packed, start, stop,
                 n_misses += 1
             hist[(completion - now).bit_length()] += 1
     # Fold the inlined-fill accumulators into their shared cells
-    # (allocations/fills and the lower level's fetch/probe counts move
-    # in lockstep on these paths, so one accumulator serves each pair).
-    if n_coal:
-        l1.c_mshr_coalesced.value += n_coal
-    if n_new_fills:
-        l1.c_fills.value += n_new_fills
-        l1.c_allocations.value += n_new_fills
-    if n_evict:
-        l1.c_evictions.value += n_evict
-    if n_l2_serves:
-        l2.c_fetch_requests.value += n_l2_serves
-        l2.c_tag_probes.value += n_l2_serves
+    # (allocations and fills, and a level's fetch requests and the tag
+    # probes they cost, move in lockstep on these paths).
+    _fold_fills(l1, n_fills, n_evict)
+    if has_mid:
+        _fold_fetches(mid, m_fetches, m_fills, m_evict)
+    if llc_flat:
+        _fold_fetches(llc, l_fetches, l_fills, l_evict)
     state.now = now
     state.stalled = stalled
     state.n_hits += n_hits
@@ -1857,37 +1646,124 @@ def _replay_2l_span(engine: KernelEngine, packed, start, stop,
     state.n_tracked += n_tracked
 
 
+def _fold_fills(store, fills: int, evictions: int) -> None:
+    """Add a span's inlined fills and evictions to ``store``'s cells."""
+    store.c_fills.value += fills
+    store.c_allocations.value += fills
+    store.c_evictions.value += evictions
+
+
+def _fold_fetches(store, fetches: int, fills: int,
+                  evictions: int) -> None:
+    """:func:`_fold_fills`, plus the fetch requests a lower level
+    served inline (one tag probe each)."""
+    store.c_fetch_requests.value += fetches
+    store.c_tag_probes.value += fetches
+    _fold_fills(store, fills, evictions)
+
+
 def _replay_1l_span(engine: KernelEngine, packed, start, stop,
                     cpu_config, state) -> None:
     """Replay 1-D predecoded requests ``[start, stop)`` with ``state``.
 
-    The 1P1L counterpart of :func:`_replay_2l_span`.
+    The 1P1L counterpart of :func:`_replay_2l_span`.  Every request
+    probes the L1 once; a miss runs the whole chain inline — the L1's
+    MSHR mirror, the mid level's ``fetch_line`` (absent in the
+    resident two-level shape), the LLC's ``fetch_line`` with its
+    stride prefetcher's flat mirror trained on the stream, and each
+    level's install on the way back up.  Only a confirmed prefetch
+    burst (:meth:`_Kernel1L.prefetch`) and dirty-victim writebacks
+    call methods.
     """
-    l1 = engine.levels[0]
+    levels = engine.levels
+    l1 = levels[0]
+    mid = levels[1] if len(levels) == 3 else None
+    llc = levels[-1]
     now = state.now
     stalled = state.stalled
     window = state.window
     hist = state.hist
     window_size = cpu_config.mlp_window
     issue_cost = cpu_config.cycles_per_op
-    cfg = l1.cfg
-    pipelined = cfg.hit_latency + 3 * cfg.tag_latency
+    pipelined = l1.hit_latency + 3 * l1.tag_latency
     hit_latency = l1.hit_latency
     write_latency = l1.write_latency
     hb_read = hit_latency.bit_length()
     hb_write = write_latency.bit_length()
-    slots_get = l1.slot_of.get
-    meta_arr = l1.meta
+    scalar, vector = _SCALAR, _VECTOR
+    # The L1's flat state and MSHR mirror.
+    slots = l1.slot_of
+    slots_get = slots.get
+    sets = l1.sets
+    num_sets = l1.num_sets
+    assoc = l1.assoc
     ready_at = l1.ready_at
     ready_get = ready_at.get
-    age_cell = l1.age
-    age_limit = AGE_LIMIT
-    compact = l1._compact_ages
     c_early = l1.c_early_hit_waits
-    get_line_miss = l1.get_line_miss
-    lvl1 = l1.level_index
-    scalar, vector = _SCALAR, _VECTOR
-    n_hits = n_misses = n_probes = n_tracked = 0
+    tag_latency = l1.tag_latency
+    data_latency = l1.data_latency
+    pending = l1.pending
+    pending_get = pending.get
+    heap = l1.pending_heap
+    cap = l1.mshr_capacity
+    stall = l1._mshr_stall
+    writeback = l1.lower.writeback_line
+    c_coal = l1.c_mshr_coalesced
+    c_wb_out = l1.c_writebacks_out
+    n_fills = n_evict = 0
+    has_mid = mid is not None
+    if has_mid:
+        m_slots = mid.slot_of
+        m_slots_get = m_slots.get
+        m_sets = mid.sets
+        m_num_sets = mid.num_sets
+        m_assoc = mid.assoc
+        m_ready = mid.ready_at
+        m_ready_get = m_ready.get
+        m_hit = mid.hit_latency
+        m_tag = mid.tag_latency
+        m_data = mid.data_latency
+        m_level = mid.level_index
+        m_pending = mid.pending
+        m_pending_get = m_pending.get
+        m_heap = mid.pending_heap
+        m_cap = mid.mshr_capacity
+        m_stall = mid._mshr_stall
+        m_writeback = llc.writeback_line
+        m_c_early = mid.c_early_hit_waits
+        m_c_coal = mid.c_mshr_coalesced
+        m_c_wb_out = mid.c_writebacks_out
+    m_fetches = m_fills = m_evict = 0
+    # The LLC, its MSHR mirror and the prefetcher's one table entry.
+    l_slots = llc.slot_of
+    l_slots_get = l_slots.get
+    l_sets = llc.sets
+    l_num_sets = llc.num_sets
+    l_assoc = llc.assoc
+    l_ready = llc.ready_at
+    l_ready_get = l_ready.get
+    l_hit = llc.hit_latency
+    l_tag = llc.tag_latency
+    l_data = llc.data_latency
+    l_level = llc.level_index
+    l_pending = llc.pending
+    l_pending_get = l_pending.get
+    l_heap = llc.pending_heap
+    l_cap = llc.mshr_capacity
+    l_stall = llc._mshr_stall
+    port_fetch = llc.lower.fetch_line
+    l_writeback = llc.lower.writeback_line
+    l_c_early = llc.c_early_hit_waits
+    l_c_coal = llc.c_mshr_coalesced
+    l_c_wb_out = llc.c_writebacks_out
+    l_fetches = l_fills = l_evict = 0
+    prefetching = llc.prefetch_enabled
+    prefetch = llc.prefetch
+    pf_threshold = llc.prefetch_threshold
+    pf_last = llc.pf_last
+    pf_stride = llc.pf_stride
+    pf_confidence = llc.pf_confidence
+    n_misses = n_tracked = 0
     if start == 0 and stop >= len(packed):
         span = packed
     else:
@@ -1897,24 +1773,16 @@ def _replay_1l_span(engine: KernelEngine, packed, start, stop,
         mode = (p >> 3) & 3  # is_write | width << 1
         is_write = mode & 1
         now += issue_cost
-        n_probes += 1
-        slot = slots_get(line)
-        if slot is not None:
-            n_hits += 1
+        lru = slots_get(line)
+        if lru is not None:
             if is_write:
-                meta_arr[slot] |= 0xFF00 if mode == 3 \
-                    else 256 << (p & 7)
+                lru[line] |= 0xFF if mode == 3 else 1 << (p & 7)
                 latency = write_latency
                 bucket = hb_write
             else:
                 latency = hit_latency
                 bucket = hb_read
-            stamp = age_cell[0]
-            if stamp >= age_limit:
-                compact()
-                stamp = age_cell[0]
-            age_cell[0] = stamp + 1
-            meta_arr[slot] = (meta_arr[slot] & 0xFFFF) | (stamp << 16)
+            lru.move_to_end(line)
             ready = ready_get(line)
             if ready is None:
                 hist[bucket] += 1
@@ -1926,16 +1794,159 @@ def _replay_1l_span(engine: KernelEngine, packed, start, stop,
             c_early.value += 1
             latency = ready + latency - now
         else:
+            # An L1 miss never hits at the L1: the serving level is
+            # always below it.
+            n_misses += 1
+            width = vector if mode & 2 else scalar
+            issue = now + tag_latency
+            while heap and heap[0][0] <= issue:
+                del pending[heappop(heap)[1]]
+            entry = pending_get(line)
+            if entry is not None:
+                c_coal.value += 1
+                completion = entry[0]
+                level = entry[2]
+            else:
+                if len(pending) >= cap:
+                    issue = stall(issue)
+                # The mid level's fetch_line: a hit completes here, a
+                # miss runs its fill around the LLC stage below
+                # (``llc_at`` < 0: no LLC fetch).
+                llc_at = issue
+                m_fill = False
+                if has_mid:
+                    m_fetches += 1
+                    m_lru = m_slots_get(line)
+                    if m_lru is not None:
+                        m_lru.move_to_end(line)
+                        level = m_level
+                        completion = issue + m_hit
+                        ready = m_ready_get(line)
+                        if ready is not None:
+                            if ready <= issue:
+                                del m_ready[line]
+                            else:
+                                m_c_early.value += 1
+                                completion = ready + m_hit
+                        llc_at = -1
+                    else:
+                        m_fill = True
+                        llc_at = issue + m_tag
+                        while m_heap and m_heap[0][0] <= llc_at:
+                            del m_pending[heappop(m_heap)[1]]
+                        entry = m_pending_get(line)
+                        if entry is not None:
+                            m_c_coal.value += 1
+                            completion = entry[0]
+                            level = entry[2]
+                            llc_at = -1
+                        elif len(m_pending) >= m_cap:
+                            llc_at = m_stall(llc_at)
+                if llc_at >= 0:
+                    # The LLC's fetch_line, then its prefetcher's
+                    # training on the address it was asked for.
+                    l_fetches += 1
+                    l_lru = l_slots_get(line)
+                    if l_lru is not None:
+                        l_lru.move_to_end(line)
+                        level = l_level
+                        completion = llc_at + l_hit
+                        ready = l_ready_get(line)
+                        if ready is not None:
+                            if ready <= llc_at:
+                                del l_ready[line]
+                            else:
+                                l_c_early.value += 1
+                                completion = ready + l_hit
+                    else:
+                        fetch_at = llc_at + l_tag
+                        while l_heap and l_heap[0][0] <= fetch_at:
+                            del l_pending[heappop(l_heap)[1]]
+                        entry = l_pending_get(line)
+                        if entry is not None:
+                            l_c_coal.value += 1
+                            completion = entry[0]
+                            level = entry[2]
+                        else:
+                            if len(l_pending) >= l_cap:
+                                fetch_at = l_stall(fetch_at)
+                            completion, level = port_fetch(line, fetch_at,
+                                                           width)
+                            entry = (completion, line, level)
+                            l_pending[line] = entry
+                            heappush(l_heap, entry)
+                            l_fills += 1
+                        l_lru = l_sets[(((line >> 4) << 3) | (line & 7))
+                                       % l_num_sets]
+                        if len(l_lru) >= l_assoc:
+                            victim, mask = l_lru.popitem(False)
+                            del l_slots[victim]
+                            l_evict += 1
+                            if mask:
+                                l_c_wb_out.value += 1
+                                l_writeback(victim, mask, completion)
+                        l_lru[line] = 0
+                        l_slots[line] = l_lru
+                        completion += l_data
+                        if completion > llc_at:
+                            l_ready[line] = completion
+                    if prefetching:
+                        # StridePrefetcher.observe(0, addr) on the
+                        # mirrored entry.
+                        addr = ((line >> 4) << 9) | ((line & 7) << 6)
+                        if pf_last < 0:
+                            pf_last = addr
+                        else:
+                            stride = addr - pf_last
+                            pf_last = addr
+                            if stride == pf_stride and stride:
+                                if pf_confidence < pf_threshold:
+                                    pf_confidence += 1
+                                if pf_confidence >= pf_threshold:
+                                    prefetch(addr, stride, llc_at)
+                            elif stride:
+                                pf_stride = stride
+                                pf_confidence = 1
+                    if m_fill:
+                        entry = (completion, line, level)
+                        m_pending[line] = entry
+                        heappush(m_heap, entry)
+                        m_fills += 1
+                if m_fill:
+                    m_lru = m_sets[(((line >> 4) << 3) | (line & 7))
+                                   % m_num_sets]
+                    if len(m_lru) >= m_assoc:
+                        victim, mask = m_lru.popitem(False)
+                        del m_slots[victim]
+                        m_evict += 1
+                        if mask:
+                            m_c_wb_out.value += 1
+                            m_writeback(victim, mask, completion)
+                    m_lru[line] = 0
+                    m_slots[line] = m_lru
+                    completion += m_data
+                    if completion > issue:
+                        m_ready[line] = completion
+                entry = (completion, line, level)
+                pending[line] = entry
+                heappush(heap, entry)
+                n_fills += 1
+            lru = sets[(((line >> 4) << 3) | (line & 7)) % num_sets]
+            if len(lru) >= assoc:
+                victim, mask = lru.popitem(False)
+                del slots[victim]
+                n_evict += 1
+                if mask:
+                    c_wb_out.value += 1
+                    writeback(victim, mask, completion)
             if is_write:
-                dirty = 0xFF if mode == 3 else 1 << (p & 7)
+                lru[line] = 0xFF if mode == 3 else 1 << (p & 7)
             else:
-                dirty = 0
-            completion, level = get_line_miss(
-                line, now, vector if mode & 2 else scalar, dirty)
-            if level == lvl1:
-                n_hits += 1
-            else:
-                n_misses += 1
+                lru[line] = 0
+            slots[line] = lru
+            completion += data_latency
+            if completion > now:
+                ready_at[line] = completion
             latency = completion - now
         hist[latency.bit_length()] += 1
         if latency > pipelined and not is_write:
@@ -1946,9 +1957,17 @@ def _replay_1l_span(engine: KernelEngine, packed, start, stop,
                 if earliest > now:
                     stalled += earliest - now
                     now = earliest
+    _fold_fills(l1, n_fills, n_evict)
+    if has_mid:
+        _fold_fetches(mid, m_fetches, m_fills, m_evict)
+    _fold_fetches(llc, l_fetches, l_fills, l_evict)
+    llc.pf_last = pf_last
+    llc.pf_stride = pf_stride
+    llc.pf_confidence = pf_confidence
+    requests = len(span)
     state.now = now
     state.stalled = stalled
-    state.n_hits += n_hits
+    state.n_hits += requests - n_misses
     state.n_misses += n_misses
-    state.n_probes += n_probes
+    state.n_probes += requests
     state.n_tracked += n_tracked

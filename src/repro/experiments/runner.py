@@ -133,17 +133,31 @@ def simulate_run_key(key: RunKey) -> RunResult:
     return replay_key(key)
 
 
+#: ``config_fingerprint`` per resolved system, keyed by the system's
+#: ``repr`` (every field, exactly): a sweep's keys share a few dozen
+#: systems, and the fingerprint's deep copy dominates ``cache_key``.
+_FINGERPRINTS: Dict[str, str] = {}
+_FINGERPRINTS_MAX = 1024
+
+
 def config_fingerprint(system: SystemConfig) -> str:
     """Stable hash of every field of a resolved system configuration.
 
     Any change to :class:`MemoryConfig`, :class:`CacheLevelConfig`,
     :class:`CpuConfig`, or the level stack itself changes the
     fingerprint, invalidating persistent cache entries made under the
-    old configuration.
+    old configuration.  Memoized per system.
     """
-    payload = dataclasses.asdict(system)
-    blob = json.dumps(payload, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    token = repr(system)
+    fingerprint = _FINGERPRINTS.get(token)
+    if fingerprint is None:
+        payload = dataclasses.asdict(system)
+        blob = json.dumps(payload, sort_keys=True, default=str)
+        fingerprint = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        if len(_FINGERPRINTS) >= _FINGERPRINTS_MAX:
+            _FINGERPRINTS.clear()
+        _FINGERPRINTS[token] = fingerprint
+    return fingerprint
 
 
 def cache_key(key: RunKey) -> str:
@@ -201,11 +215,15 @@ class RunCache:
     def root(self) -> str:
         return self._root
 
-    def path_for(self, key: RunKey) -> str:
-        return os.path.join(self._root, cache_key(key) + ".pkl")
+    def path_for(self, key: RunKey, name: Optional[str] = None) -> str:
+        """The entry file of ``key``; ``name`` is its
+        :func:`cache_key` when the caller already computed it."""
+        return os.path.join(self._root,
+                            (name or cache_key(key)) + ".pkl")
 
-    def load(self, key: RunKey) -> Optional[RunResult]:
-        path = self.path_for(key)
+    def load(self, key: RunKey,
+             name: Optional[str] = None) -> Optional[RunResult]:
+        path = self.path_for(key, name)
         try:
             with open(path, "rb") as handle:
                 payload = pickle.load(handle)
@@ -403,13 +421,17 @@ class ExperimentRunner:
 
     # -- supervisor hooks ----------------------------------------------------
 
-    def lookup(self, key: RunKey) -> Optional[RunResult]:
-        """Memo-or-disk lookup with hit accounting; never simulates."""
+    def lookup(self, key: RunKey,
+               name: Optional[str] = None) -> Optional[RunResult]:
+        """Memo-or-disk lookup with hit accounting; never simulates.
+
+        ``name`` is ``key``'s :func:`cache_key` when the caller already
+        computed it (the supervisor journals every key under it)."""
         cached = self._cache.get(key)
         if cached is not None:
             self._info.memory_hits += 1
             return cached
-        result = self._load_from_disk(key)
+        result = self._load_from_disk(key, name)
         if result is not None:
             self._info.disk_hits += 1
             self._cache[key] = result
@@ -441,10 +463,11 @@ class ExperimentRunner:
 
     # -- internals -----------------------------------------------------------
 
-    def _load_from_disk(self, key: RunKey) -> Optional[RunResult]:
+    def _load_from_disk(self, key: RunKey,
+                        name: Optional[str] = None) -> Optional[RunResult]:
         if self._disk is None or self._refresh:
             return None
-        return self._disk.load(key)
+        return self._disk.load(key, name)
 
     def _store(self, key: RunKey, result: RunResult) -> None:
         self._cache[key] = result

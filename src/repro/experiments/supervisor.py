@@ -460,7 +460,7 @@ class Supervisor:
         now = self._clock()
         for key in plan:
             ck = cache_key(key)
-            result = self._runner.lookup(key)
+            result = self._runner.lookup(key, ck)
             if result is not None:
                 report.from_cache += 1
                 if prior.states.get(ck) == "done":

@@ -6,26 +6,29 @@ Covers the fused flat-store replay path: coverage dispatch
 tests/test_vector.py with the retired engine's cases), three-way
 bit-identity between the object path over request objects, the object
 path over the packed trace, and ``run_kernel`` — on registry workloads
-and on synthetic edge-case traces (full-hit and single-row runs, LRU
-stamp saturation, saturated sets, a miss-heavy small-L1 hierarchy,
+and on synthetic edge-case traces (full-hit and single-row runs, wide
+miss streams, saturated sets, a miss-heavy small-L1 hierarchy,
 cold-cache sharded epochs), including the 2P2L family (dense and
 sparse block fill, duplicate-copy coherence) and dynamic orientation
-prediction (with a hypothesis differential fuzz against the object
-path) — occupancy-sampled runs (samples, cycles and stats) on
-every covered design, explicit-program runs (custom layout, tiling,
-legacy compilation) against the object path, the flat-store
-replacement edge cases (LRU age saturation and compaction, eviction
-tie-breaking, orientation-bit preservation across evictions in
-same-set mode), the packed presence/dirty block-word round-trips, and
-the numpy / pure-Python predecode equivalence.
+prediction — occupancy-sampled runs (samples, cycles, stats and the
+final LRU sets) on every covered design, a hypothesis differential
+fuzz of generated walks against the object path on every covered
+design, explicit-program runs (custom layout, tiling, legacy
+compilation) against the object path, the flat-store replacement
+edge cases (eviction order, every kernel set mirroring the object
+level's ``LruSet`` order), the packed presence/dirty block-word
+round-trips, and the numpy / pure-Python predecode equivalence.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 
 from repro.cache.cache_2p2l import (
     BlockState,
+    Cache2P2L,
     pack_block_word,
     unpack_block_word,
 )
@@ -210,22 +213,23 @@ def _sharded_epochs():
     return [reqs[:16_384], reqs[16_384:]]
 
 
-#: Synthetic identity cases: name -> (design, epochs builder, AGE_LIMIT
-#: override or None).  Each builder returns one request list per
-#: cold-cache replay.
+#: Synthetic identity cases: name -> (design, epochs builder).  Each
+#: builder returns one request list per cold-cache replay.
 EDGE_CASES = {
-    "full-hit-run": ("1P2L", _full_hit_run, None),
-    "single-row-runs": ("1P2L", _single_row_runs, None),
-    "mixed-hit-miss": (SMALL_L1, _mixed_hit_miss, None),
-    # Both levels' stamps saturate: a dozen compactions per replay.
-    "age-limit": (SMALL_L1, lambda: [_wide_misses(16_384)], 5_000),
+    "full-hit-run": ("1P2L", _full_hit_run),
+    "single-row-runs": ("1P2L", _single_row_runs),
+    "mixed-hit-miss": (SMALL_L1, _mixed_hit_miss),
+    # A long wide-miss stream over 4096 tiles, exactly the second
+    # level's 4096 lines: every second-level set fills to its
+    # associativity, and after the first pass every L1 miss hits
+    # there without an eviction (the boundary saturated-sets crosses).
+    "age-limit": (SMALL_L1,
+                  lambda: [_wide_misses(16_384, tiles=4096)]),
     # 4608 tiles over 4096 second-level lines: every set evicts.
     "saturated-sets": (SMALL_L1,
-                       lambda: [_wide_misses(16_384, tiles=4608)],
-                       None),
-    "l2-served-misses": (SMALL_L1, lambda: [_wide_misses(16_384)],
-                         None),
-    "sharded-epochs": (SMALL_L1, _sharded_epochs, None),
+                       lambda: [_wide_misses(16_384, tiles=4608)]),
+    "l2-served-misses": (SMALL_L1, lambda: [_wide_misses(16_384)]),
+    "sharded-epochs": (SMALL_L1, _sharded_epochs),
 }
 
 IDENTITY_CASES = [
@@ -233,7 +237,7 @@ IDENTITY_CASES = [
     for workload in ("sobel", "htap1", "sgemm") for design in COVERED
 ] + [
     pytest.param(design, name, id=f"{name}-{design}")
-    for name, (design, _, _) in EDGE_CASES.items()
+    for name, (design, _) in EDGE_CASES.items()
 ]
 
 
@@ -267,17 +271,63 @@ def _short_mixed_trace(dims):
     return reqs
 
 
+def _object_entry(level, key):
+    """An object level's state for resident ``key``: the dirty mask,
+    or a 2P2L block's (presence, dirty) words."""
+    if isinstance(level, Cache2P2L):
+        block = level.block_state(key)
+        return block.presence_word(), block.dirty_word()
+    return level._frames[key]
+
+
+def _store_sets(store):
+    """A flat store's LRU sets as ``[(key, state), ...]`` lists, oldest
+    first, after checking its bookkeeping: no set exceeds its
+    associativity, ``slot_of`` maps exactly the keys of the sets, each
+    to its own set, and ``tile_count`` (1P2L) is a recount of the
+    resident lines per (tile, orientation)."""
+    contents = []
+    owner = {}
+    for lru in store.sets:
+        assert len(lru) <= store.assoc
+        for key in lru:
+            owner[key] = lru
+        if isinstance(store, kernels._Kernel2P2L):
+            contents.append([(tile, (word & 0xFFFF, word >> 16))
+                             for tile, word in lru.items()])
+        else:
+            contents.append(list(lru.items()))
+    assert store.slot_of.keys() == owner.keys()
+    assert all(store.slot_of[key] is lru for key, lru in owner.items())
+    if isinstance(store, kernels._Kernel2L):
+        assert store.tile_count == dict(Counter(key >> 3
+                                                for key in owner))
+    return contents
+
+
+def _lru_sets(cpu, hierarchy):
+    """Every level's LRU sets, oldest key first, with each key's state:
+    from the kernel's flat stores after a kernel replay, else from the
+    object levels' ``LruSet`` order."""
+    if cpu._engine is not None:
+        return [_store_sets(store) for store in cpu._engine.levels]
+    return [[[(key, _object_entry(level, key)) for key in lru.keys()]
+             for lru in level._sets]
+            for level in hierarchy.levels]
+
+
 def _sampled_run(design, stride, requests=None):
-    """Cycles, final flat stats and ``(occupancy sample, flat stats)``
-    at every sample of a sampled replay: sgemm small, or ``requests``
-    packed, sampled the way ``run_simulation`` wires its sampler."""
+    """Cycles, final flat stats, ``(occupancy sample, flat stats)`` at
+    every sample and the final LRU sets (:func:`_lru_sets`) of a
+    sampled replay: sgemm small, or ``requests`` packed, sampled the
+    way ``run_simulation`` wires its sampler."""
     system = make_system(design, 1.0)
     trace = generate_packed_trace(build_workload("sgemm", "small"),
                                   system.logical_dims) \
         if requests is None else PackedTrace.from_requests(requests)
     stats = StatRegistry()
-    cpu = TraceDrivenCpu(system.cpu, CacheHierarchy(system, stats),
-                         stats)
+    hierarchy = CacheHierarchy(system, stats)
+    cpu = TraceDrivenCpu(system.cpu, hierarchy, stats)
     samples = []
 
     def sampler(ops, now):
@@ -286,7 +336,7 @@ def _sampled_run(design, stride, requests=None):
                         stats.flat()))
 
     cycles = cpu.run(trace, sampler=sampler, sample_every=stride)
-    return cycles, stats.flat(), samples
+    return cycles, stats.flat(), samples, _lru_sets(cpu, hierarchy)
 
 
 class TestKernelParity:
@@ -294,12 +344,12 @@ class TestKernelParity:
     @pytest.mark.parametrize("design", COVERED)
     def test_sampled_bit_identity(self, design, stride):
         """A sampled kernel replay equals the object path
-        (``kernel_disabled``) in cycles, flat stats and every
-        occupancy sample: ops, cycles, per-level counts and level
-        order, and the flat stats a sampler reads at that point (the
-        L1 hit, miss, probe, tracked-miss and demand counters move
-        span by span, as the object path's move request by
-        request)."""
+        (``kernel_disabled``) in cycles, flat stats, the final LRU
+        sets and every occupancy sample: ops, cycles, per-level counts
+        and level order, and the flat stats a sampler reads at that
+        point (the L1 hit, miss, probe, tracked-miss and demand
+        counters move span by span, as the object path's move request
+        by request)."""
         dims = make_system(design, 1.0).logical_dims
         requests = _short_mixed_trace(dims) if stride == 1 else None
         via_kernel = _sampled_run(design, stride, requests)
@@ -320,16 +370,12 @@ class TestKernelParity:
             assert ops % stride, "the last span must be partial"
 
     @pytest.mark.parametrize("design,workload", IDENTITY_CASES)
-    def test_three_way_bit_identity(self, design, workload,
-                                    monkeypatch):
+    def test_three_way_bit_identity(self, design, workload):
         """The object path over request objects, the object path over
         the packed trace, and run_kernel agree exactly, on registry
         workloads and on synthetic edge-case traces."""
         if workload in EDGE_CASES:
-            _, build, age_limit = EDGE_CASES[workload]
-            if age_limit is not None:
-                monkeypatch.setattr(kernels, "AGE_LIMIT", age_limit)
-            epochs = build()
+            epochs = EDGE_CASES[workload][1]()
         else:
             program = build_workload(workload, "small")
             epochs = [list(generate_trace(program,
@@ -346,46 +392,14 @@ class TestKernelParity:
             assert via_kernel.stats.flat() == via_objects.stats.flat()
             assert via_kernel.stats.flat() == via_packed.stats.flat()
 
-    @pytest.mark.parametrize("design", COVERED)
-    def test_age_saturation_compacts_and_preserves_order(
-            self, monkeypatch, design):
-        """Hitting AGE_LIMIT mid-run must not disturb LRU order.
-
-        Shrinking the limit forces many in-place compactions over a
-        real workload; the run must stay bit-identical to the object
-        path, whose LruSet never saturates.
-        """
-        compactions = []
-        original = kernels._FlatStore._compact_ages
-
-        def counting(store):
-            compactions.append(store.level_index)
-            original(store)
-
-        monkeypatch.setattr(kernels, "AGE_LIMIT", 300)
-        monkeypatch.setattr(kernels._FlatStore, "_compact_ages",
-                            counting)
-        system = make_system(design, 1.0)
-        packed = generate_packed_trace(build_workload("sgemm", "small"),
-                                       system.logical_dims)
-        via_kernel = run_trace(make_system(design, 1.0), packed,
-                               name="t")
-        assert compactions, "AGE_LIMIT=300 must force compactions"
-        with kernels.kernel_disabled():
-            reference = run_trace(make_system(design, 1.0), packed,
-                                  name="t")
-        assert via_kernel.cycles == reference.cycles
-        assert via_kernel.stats.flat() == reference.stats.flat()
-
 
 class TestReplacementEdgeCases:
     def test_lru_eviction_order_and_tie_break(self):
-        """The single victim scan reproduces exact LRU order.
+        """The ``OrderedDict`` sets reproduce exact LRU order.
 
         Fill one L1 set, touch the oldest line (now MRU), then force
         two evictions; which lines survive pins down the victim choice
-        (a first-minimal tie-break over the flat set scan, matching
-        the insertion-ordered LruSet).
+        (the set's oldest key, as in the insertion-ordered LruSet).
         """
         system = make_system("1P1L", 1.0)
         l1_cfg = system.levels[0]
@@ -411,40 +425,28 @@ class TestReplacementEdgeCases:
         assert flat["cache.L1.evictions"] == 2
 
     def test_orientation_bits_preserved_across_evictions(self):
-        """Same-set mode: meta orientation always mirrors the tag.
+        """Every kernel set mirrors the object level's ``LruSet``.
 
-        Rows and columns share sets under the same-set mapping, so
-        evictions constantly replace one orientation with the other;
-        every valid slot's orientation bit (meta bit 1) must track the
-        installed tag's orientation bit, and ``slot_of`` must stay a
-        perfect inverse of the tag array.
+        sgemm small on every covered design, on the kernel and on the
+        object path: each kernel set holds the object set's keys
+        (oriented line ids, or 2P2L tiles, which carry the
+        orientation) in the same LRU order with the same dirty and
+        presence state, ``slot_of`` is exactly the union of the sets,
+        no set exceeds its associativity, and ``tile_count`` is a
+        recount (:func:`_store_sets`).  Same-set mode, where rows and
+        columns share sets and evictions keep replacing one
+        orientation with the other, must leave both live in the L1.
         """
-        system = make_system("1P2L_SameSet", 1.0)
-        stats = StatRegistry()
-        hierarchy = CacheHierarchy(system, stats)
-        packed = generate_packed_trace(build_workload("sgemm", "small"),
-                                       system.logical_dims)
-        engine = kernels.KernelEngine(hierarchy)
-        engine.replay(packed, system.cpu, stats.group("cpu"))
-
-        assert stats.flat()["cache.L1.evictions"] > 0
-        l1_orients = set()
-        for store in engine.levels:
-            if not isinstance(store, kernels._Kernel2L):
-                continue
-            valid = 0
-            for slot, meta in enumerate(store.meta):
-                if not meta & 1:
-                    continue
-                valid += 1
-                line = store.tags[slot]
-                assert (meta >> 1) & 1 == (line >> 3) & 1
-                assert store.slot_of[line] == slot
-                if store is engine.levels[0]:
-                    l1_orients.add((line >> 3) & 1)
-            assert valid == len(store.slot_of)
-        # The check is only meaningful if both orientations are live.
-        assert l1_orients == {0, 1}
+        for design in COVERED:
+            via_kernel = _sampled_run(design, 0)
+            with kernels.kernel_disabled():
+                oracle = _sampled_run(design, 0)
+            assert via_kernel == oracle, design
+            assert via_kernel[1]["cache.L1.evictions"] > 0
+            if design == "1P2L_SameSet":
+                l1_sets = via_kernel[3][0]
+                assert {(line >> 3) & 1 for lru in l1_sets
+                        for line, _ in lru} == {0, 1}
 
 
 def _layout_mismatch_point():
@@ -563,7 +565,8 @@ class TestKernel2P2L:
 
     def test_block_words_mirror_object_state(self):
         """The kernel's packed presence/dirty words reproduce the
-        object path's per-block masks slot for slot after a replay."""
+        object path's per-block masks block for block after a
+        replay."""
         system = make_system("2P2L", 1.0)
         stats = StatRegistry()
         hierarchy = CacheHierarchy(system, stats)
@@ -584,22 +587,23 @@ class TestKernel2P2L:
         assert blocks, "the workload must leave resident blocks"
         assert set(blocks) == set(store.slot_of)
         for tile, state in blocks.items():
-            slot = store.slot_of[tile]
-            assert store.present[slot] == state.presence_word()
-            assert store.dirty[slot] == state.dirty_word()
+            word = store.slot_of[tile][tile]
+            assert word & 0xFFFF == state.presence_word()
+            assert word >> 16 == state.dirty_word()
 
 
-def _walk_trace(walks, steps):
-    """Interleaved word walks for the dynamic-orientation fuzz.
+def _walk_trace(walks, steps, tiles=32):
+    """Interleaved word walks for the differential fuzz.
 
     ``walks`` holds ``(ref, orientation, tile, row, column, row step,
     column step)`` tuples; a row step of 1 walks down a column, a
     column step of 1 along a row, and a walk that runs off its tile
-    moves on to the next of 32 tiles (512 lines: pressure on every
-    level).  Each ``(skip, kind)`` step moves a cursor ``skip`` walks
-    on (0 stays, 1 is round robin), advances that walk by one word and
-    issues a request of ``kind`` (``is_write | vector << 1``) there; a
-    vector covers the walk's static line through the word.
+    moves on to the next of ``tiles`` tiles (32 tiles hold 512 lines:
+    pressure on every level).  Each ``(skip, kind)`` step moves a
+    cursor ``skip`` walks on (0 stays, 1 is round robin), advances
+    that walk by one word and issues a request of ``kind``
+    (``is_write | vector << 1``) there; a vector covers the walk's
+    static line through the word.
     """
     taken = [0] * len(walks)
     reqs = []
@@ -610,7 +614,7 @@ def _walk_trace(walks, steps):
         k = taken[index]
         taken[index] = k + 1
         r, c = r + k * dr, c + k * dc
-        tile = (tile + (r >> 3) + (c >> 3)) % 32
+        tile = (tile + (r >> 3) + (c >> 3)) % tiles
         r, c = r & 7, c & 7
         if kind & 2:
             width = AccessWidth.VECTOR
@@ -641,25 +645,52 @@ _ROW_WALKS = _walk_trace(
     [(1, 0), (0, 0), (0, 2), (0, 1), (0, 0), (0, 3), (0, 1)] * 12)
 
 
+#: 640 requests: eight column walks under row preference, twelve tiles
+#: apart over 96 tiles, visited round robin with a scalar write, a
+#: scalar read, a vector write and a vector read in turn.  Every step
+#: touches a fresh row line, so every level of every fuzzed design
+#: evicts dirty victims (``test_walk_example_evicts_dirty_everywhere``).
+_DIRTY_EVICTIONS = _walk_trace(
+    [(ref, Orientation.ROW, 12 * ref, 0, ref % 8, 1, 0)
+     for ref in range(8)],
+    [(1, 1), (1, 0), (1, 3), (1, 2)] * 160, tiles=96)
+
+
 if HAVE_HYPOTHESIS:
     @some.composite
-    def _walk_traces(draw):
+    def _walk_traces(draw, orientations=(Orientation.ROW,
+                                         Orientation.COLUMN),
+                     tiles=some.just(32), max_length=400):
         """Up to 100 walks with distinct refs from twice the 64-entry
-        predictor table's range, stepped in a drawn order; scalar reads
-        are half the requests."""
+        predictor table's range, under ``orientations``, stepped in a
+        drawn order (at most ``max_length`` steps) over a drawn number
+        of ``tiles``; scalar reads are half the requests."""
         count = draw(some.integers(1, 100))
         refs = draw(some.lists(some.integers(0, 127), min_size=count,
                                max_size=count, unique=True))
+        span = draw(tiles)
         walks = [(ref,) + draw(some.tuples(
-            some.sampled_from((Orientation.ROW, Orientation.COLUMN)),
-            some.integers(0, 31), some.integers(0, 7),
+            some.sampled_from(orientations),
+            some.integers(0, span - 1), some.integers(0, 7),
             some.integers(0, 7), some.integers(0, 1),
             some.integers(0, 1))) for ref in refs]
-        length = draw(some.integers(1, 400))
+        length = draw(some.integers(1, max_length))
         steps = draw(some.lists(some.tuples(
             some.integers(0, 3), some.sampled_from((0, 0, 0, 1, 2, 3))),
             min_size=length, max_size=length))
-        return _walk_trace(walks, steps)
+        return _walk_trace(walks, steps, span)
+
+
+def _assert_matches_object_path(design, requests, stride):
+    """The kernel equals the object path (``kernel_disabled``) on
+    ``requests``, unsampled and sampled every ``stride`` requests:
+    cycles, final flat stats, every (occupancy sample, flat stats)
+    pair and the final LRU sets (:func:`_lru_sets`)."""
+    for every in (0, stride):
+        via_kernel = _sampled_run(design, every, requests)
+        with kernels.kernel_disabled():
+            oracle = _sampled_run(design, every, requests)
+        assert via_kernel == oracle
 
 
 class TestDynamicOrientation:
@@ -710,15 +741,58 @@ class TestDynamicOrientation:
         @example(requests=_ROW_WALKS, stride=1)
         def test_matches_object_path_on_generated_traces(self, requests,
                                                          stride):
-            """The kernel equals the object path (``kernel_disabled``)
-            on generated walks, unsampled and sampled: cycles, final
-            flat stats and every (occupancy sample, flat stats) pair,
-            the predictor's counters included."""
-            for every in (0, stride):
-                via_kernel = _sampled_run("1P2L_Dyn", every, requests)
-                with kernels.kernel_disabled():
-                    oracle = _sampled_run("1P2L_Dyn", every, requests)
-                assert via_kernel == oracle
+            """The kernel equals the object path on generated walks
+            (:func:`_assert_matches_object_path`), the predictor's
+            counters included."""
+            _assert_matches_object_path("1P2L_Dyn", requests, stride)
+
+
+#: The statically oriented 2-D designs the differential fuzz replays
+#: (1P2L_Dyn has its own in TestDynamicOrientation, 1P1L takes row
+#: walks only).
+FUZZED_2D = ("1P2L", "1P2L_SameSet", "2P2L", "2P2L_Dense")
+
+
+class TestGeneratedTraces:
+    """Differential fuzz of the kernel against the object path on
+    generated walks over up to 96 tiles, on each covered design's
+    default hierarchy: enough distinct lines that every level evicts
+    dirty victims."""
+
+    @pytest.mark.parametrize("design", ("1P1L",) + FUZZED_2D)
+    def test_walk_example_evicts_dirty_everywhere(self, design):
+        """The fuzz's ``_DIRTY_EVICTIONS`` example evicts lines, and
+        writes dirty ones back, at every level."""
+        flat = _sampled_run(design, 0, _DIRTY_EVICTIONS)[1]
+        for level in ("L1", "L2", "L3"):
+            assert flat[f"cache.{level}.evictions"] > 0
+            assert flat[f"cache.{level}.writebacks_out"] > 0
+
+    if HAVE_HYPOTHESIS:
+        @settings(max_examples=25, deadline=None)
+        @given(requests=_walk_traces(orientations=(Orientation.ROW,),
+                                     tiles=some.integers(8, 96),
+                                     max_length=640),
+               stride=some.integers(1, 64))
+        @example(requests=_FIFO_WRAP, stride=7)
+        @example(requests=_DIRTY_EVICTIONS, stride=50)
+        def test_1p1l_row_walks_match_object_path(self, requests,
+                                                  stride):
+            """1P1L, whose traces hold row-preference requests only."""
+            _assert_matches_object_path("1P1L", requests, stride)
+
+        @pytest.mark.parametrize("design", FUZZED_2D)
+        @settings(max_examples=25, deadline=None)
+        @given(requests=_walk_traces(tiles=some.integers(8, 96),
+                                     max_length=640),
+               stride=some.integers(1, 64))
+        @example(requests=_FIFO_WRAP, stride=7)
+        @example(requests=_ROW_WALKS, stride=1)
+        @example(requests=_DIRTY_EVICTIONS, stride=50)
+        def test_2d_walks_match_object_path(self, design, requests,
+                                            stride):
+            """The statically oriented 2-D designs, both preferences."""
+            _assert_matches_object_path(design, requests, stride)
 
 
 class TestPackedBlockWords:

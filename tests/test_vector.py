@@ -8,11 +8,11 @@ wraps engine methods by name).  This suite keeps the vector suite's
 cases and checks them against the kernel: every design the engine
 covered dispatches to the kernel (with or without numpy), short and
 long traces alike, and the engine's identity traces — registry
-workloads through the ``run_vector`` alias, LRU age saturation, full-hit
-and single-row runs, a miss-dominated stream, and on a 4KB L1 over a
-256KB second level: served misses, mixed hit/miss runs, saturated
-sets, stamp compaction and cold-cache sharded epochs — replay
-bit-identically to the object path.
+workloads through the ``run_vector`` alias, full-hit and single-row
+runs, a miss-dominated stream, and on a 4KB L1 over a 256KB second
+level: served misses, mixed hit/miss runs, saturated sets and
+cold-cache sharded epochs — replay bit-identically to the object
+path.
 """
 
 from __future__ import annotations
@@ -210,17 +210,6 @@ class TestVectorParity:
         assert via_fallback.cycles == alias_cycles
         assert via_fallback.stats.flat() == alias_stats.flat()
 
-    @pytest.mark.parametrize("design", COVERED)
-    def test_age_saturation_identity(self, monkeypatch, design):
-        """Stamp compaction leaves the kernel exactly on the object
-        path, whose LruSet never saturates; shrinking AGE_LIMIT forces
-        it constantly."""
-        monkeypatch.setattr(kernels, "AGE_LIMIT", 300)
-        dims = make_system(design, 1.0).logical_dims
-        _identity(_design(design),
-                  list(generate_trace(build_workload("sgemm", "small"),
-                                      dims)))
-
     def test_hot_trace_full_window_identity(self):
         """A hit-dense trace of three whole chunks replays
         identically."""
@@ -299,27 +288,6 @@ class TestMissPath:
         # 512 sets x 8 ways = 4096 lines; 4608 tiles thrash every set.
         _identity(_miss_system,
                   _wide_miss_trace(4 * CHUNK, tiles=4608))
-
-    def test_stamp_collision_identity(self, monkeypatch):
-        """LRU stamps saturating while fills race the limit: compaction
-        must keep the object path's order.
-
-        The limit is low enough that both levels compact several times
-        per replay, but not so low that every access recompacts the
-        4096-line store (that would be quadratic, not edgier).
-        """
-        compactions = []
-        original = kernels._FlatStore._compact_ages
-
-        def counting(store):
-            compactions.append(store.level_index)
-            original(store)
-
-        monkeypatch.setattr(kernels, "AGE_LIMIT", 5_000)
-        monkeypatch.setattr(kernels._FlatStore, "_compact_ages",
-                            counting)
-        _identity(_miss_system, _wide_miss_trace(4 * CHUNK))
-        assert set(compactions) == {1, 2}  # both L1 and L2
 
     def test_cold_cache_sharded_epochs_no_demotion(self, engines):
         """Both halves of a miss stream, each replayed from a cold
