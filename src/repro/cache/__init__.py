@@ -1,6 +1,6 @@
 """MDACache cache hierarchy: the paper's primary contribution."""
 
-from .base import CacheLevel, FULL_MASK, MemoryPort
+from .base import CacheLevel, FULL_MASK
 from .cache_1p1l import Cache1P1L
 from .cache_1p2l import Cache1P2L
 from .cache_2p2l import BlockState, Cache2P2L
@@ -30,7 +30,6 @@ __all__ = [
     "FULL_MASK",
     "FifoSet",
     "LruSet",
-    "MemoryPort",
     "MshrFile",
     "RandomSet",
     "ReplacementSet",

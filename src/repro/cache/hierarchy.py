@@ -8,13 +8,13 @@ Maps taxonomy points to classes (paper Section IV-C):
   Same-Set mapping);
 * ``2P2L`` -> :class:`Cache2P2L` (Design 2 LLC, dense or sparse fill).
 
-Levels are chained L1 -> ... -> LLC -> memory port, and the hierarchy
-object is the single entry point the CPU model uses.  When the
-system's :class:`~repro.common.config.TierConfig` is active, a
+Levels are chained L1 -> ... -> LLC -> :class:`MdaMemory`, and the
+hierarchy object is the single entry point the CPU model uses.  When
+the system's :class:`~repro.common.config.TierConfig` is active, a
 :class:`~repro.tier.DieStackedTier` slots in between the LLC and the
-memory port — :attr:`CacheHierarchy.port` (the kernel chain's
-bottom) then *is* the tier, so every replay path sees the same
-component in the same program order.
+memory — :attr:`CacheHierarchy.port` (the kernel chain's bottom) then
+*is* the tier, so every replay path sees the same component in the
+same program order.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from ..common.stats import StatRegistry
 from ..common.types import AccessResult, Request
 from ..mem.mda_memory import MdaMemory
 from ..tier import DieStackedTier
-from .base import CacheLevel, MemoryPort
+from .base import CacheLevel
 from .cache_1p1l import Cache1P1L
 from .cache_1p2l import Cache1P2L
 from .cache_2p2l import Cache2P2L
@@ -52,13 +52,10 @@ class CacheHierarchy:
         self._config = config
         self._stats = stats
         self._replacement = replacement
-        self._memory = MdaMemory(config.memory, stats,
-                                 allow_column=True)
-        self._port = MemoryPort(self._memory, stats)
+        self._memory = MdaMemory(config.memory, stats)
         self._tier: Optional[DieStackedTier] = None
         if config.tier.active:
-            self._tier = DieStackedTier(config.tier, stats,
-                                        self._memory, self._port,
+            self._tier = DieStackedTier(config.tier, stats, self._memory,
                                         len(config.levels) + 1)
         self._levels: List[CacheLevel] = []
         for idx, level_cfg in enumerate(config.levels, start=1):
@@ -66,7 +63,7 @@ class CacheHierarchy:
                 build_cache_level(level_cfg, idx, stats, replacement))
         for upper, lower in zip(self._levels, self._levels[1:]):
             upper.connect(lower)
-        self._levels[-1].connect(self._tier or self._port)
+        self._levels[-1].connect(self.port)
 
     @property
     def levels(self) -> List[CacheLevel]:
@@ -81,15 +78,10 @@ class CacheHierarchy:
         return self._levels[-1]
 
     @property
-    def memory(self) -> MdaMemory:
-        return self._memory
-
-    @property
     def port(self):
         """What sits below the LLC (the kernel chain bottom): the
-        die-stacked tier when one is configured, else the raw memory
-        port."""
-        return self._tier or self._port
+        die-stacked tier when one is configured, else the memory."""
+        return self._tier or self._memory
 
     @property
     def tier(self) -> Optional[DieStackedTier]:

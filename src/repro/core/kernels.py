@@ -32,11 +32,11 @@ replay loop never recomputes the row/column bit-slicing per request
 Every kernel level *shares* its statistics cells and MSHR counters
 with the corresponding object level, the 1P1L LLC's stride prefetcher
 is mirrored in three ints that share its ``prefetches_generated``
-cell, and the chain bottoms out at the hierarchy's real
-:class:`MemoryPort`, so a kernel run produces **bit-identical
-counters** to the object path — ``tests/test_kernels.py`` enforces
-this across the covered design x workload matrix and on generated
-traces.
+cell, and the chain bottoms out at the hierarchy's real tier or
+:class:`MdaMemory` (``hierarchy.port``), so a kernel run produces
+**bit-identical counters** to the object path —
+``tests/test_kernels.py`` enforces this across the covered design x
+workload matrix and on generated traces.
 
 Coverage: LRU replacement; two or three levels (an L1, at most one
 mid level, and the last level); a 1P1L L1 over 1P1L levels, of which
@@ -1049,7 +1049,7 @@ class KernelEngine:
     """A chain of flat-store kernel levels over the hierarchy's memory.
 
     Built from (and sharing every statistics cell, MSHR counter and
-    the memory port with) an already-constructed
+    the tier or memory below the LLC with) an already-constructed
     :class:`CacheHierarchy` whose design :func:`supports` covers.
     """
 

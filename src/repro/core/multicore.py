@@ -22,7 +22,7 @@ import heapq
 from dataclasses import dataclass, replace
 from typing import Iterator, List, Sequence
 
-from ..cache.base import CacheLevel, MemoryPort
+from ..cache.base import CacheLevel
 from ..cache.hierarchy import build_cache_level
 from ..common.config import SystemConfig
 from ..common.errors import ConfigError
@@ -135,11 +135,10 @@ def run_multiprogrammed(system: SystemConfig,
         raise ConfigError("need at least one program")
     stats = StatRegistry()
     memory = MdaMemory(system.memory, stats)
-    port = MemoryPort(memory, stats)
-    below = port
+    below = memory
     if system.tier.active:
         from ..tier import DieStackedTier
-        below = DieStackedTier(system.tier, stats, memory, port,
+        below = DieStackedTier(system.tier, stats, memory,
                                len(system.levels) + 1)
     llc_cfg = system.levels[-1]
     llc = build_cache_level(llc_cfg, len(system.levels), stats,

@@ -1,7 +1,6 @@
-"""MDA main memory model: decode, crosspoint banks, controller."""
+"""MDA main memory model: decode, crosspoint banks, the memory."""
 
 from .bank import CrosspointBank
-from .controller import MemoryController
 from .decoder import AddressDecoder, DecodedLine
 from .mda_memory import MdaMemory
 
@@ -10,5 +9,4 @@ __all__ = [
     "CrosspointBank",
     "DecodedLine",
     "MdaMemory",
-    "MemoryController",
 ]

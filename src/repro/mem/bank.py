@@ -6,7 +6,7 @@ physical column into the column buffer, and subsequent accesses along the
 open dimension are buffer hits.  Bit-slicing (Fig. 5/6) is what makes a
 column activation deliver whole *words*; at this abstraction level it
 appears simply as the column buffer existing at all, plus the one-cycle
-column-decode adder charged by the controller.
+column-decode adder charged on every column access.
 
 Open-page policy (Table I): buffers stay open until a conflicting
 activation replaces them.  ``MemoryConfig.sub_buffers`` > 1 enables the
@@ -106,8 +106,3 @@ class CrosspointBank:
         ready = start + cost
         self._busy_until = ready
         return ready
-
-    def reset(self) -> None:
-        self._open_rows.clear()
-        self._open_cols.clear()
-        self._busy_until = 0

@@ -88,14 +88,6 @@ class TestWritesAndOccupancy:
         assert ready == (base_cfg.activate_cycles
                          + base_cfg.buffer_access_cycles) // 2
 
-    def test_reset_clears_buffers(self):
-        bank, _, _ = make_bank()
-        bank.access(Orientation.ROW, 1, False, 0)
-        bank.reset()
-        assert bank.open_row is None
-        assert bank.open_col is None
-        assert bank.busy_until == 0
-
     def test_would_hit_matches_state(self):
         bank, _, _ = make_bank()
         bank.access(Orientation.ROW, 4, False, 0)

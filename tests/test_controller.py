@@ -1,15 +1,15 @@
-"""Unit tests for the FRFCFS-WQF memory controller."""
+"""Unit tests for the FRFCFS-WQF scheduling of :class:`MdaMemory`."""
 
 from repro.common.config import MemoryConfig
 from repro.common.stats import StatRegistry
 from repro.common.types import Orientation, make_line_id
-from repro.mem.controller import MemoryController
+from repro.mem.mda_memory import MdaMemory
 
 
 def make_controller(**kwargs):
     cfg = MemoryConfig(**kwargs)
     stats = StatRegistry()
-    return MemoryController(cfg, stats), cfg, stats
+    return MdaMemory(cfg, stats), cfg, stats
 
 
 def row_line(tile: int, index: int = 0) -> int:
@@ -76,7 +76,7 @@ class TestWriteQueue:
         ctrl, _, _ = make_controller()
         for tile in range(5):
             ctrl.write_line(row_line(tile), 0)
-        horizon = ctrl.drain_all(0)
+        horizon = ctrl.finish(0)
         assert ctrl.pending_writes() == 0
         assert horizon > 0
 
@@ -138,13 +138,3 @@ class TestIdleDrain:
         ctrl.write_line(row_line(0), 1)
         assert ctrl.pending_writes() == 1
 
-
-class TestReset:
-    def test_reset_restores_initial_state(self):
-        ctrl, _, _ = make_controller()
-        ctrl.write_line(row_line(0), 0)
-        ctrl.read_line(row_line(1), 0)
-        ctrl.reset()
-        assert ctrl.pending_writes() == 0
-        assert all(state == (None, None)
-                   for state in ctrl.bank_states().values())

@@ -12,7 +12,7 @@ from repro.common.types import (
 )
 from repro.cache.cache_1p2l import Cache1P2L
 from repro.cache.cache_2p2l import Cache2P2L
-from repro.mem.controller import MemoryController
+from repro.mem.mda_memory import MdaMemory
 from tests.conftest import FakeLower, small_config
 
 SETTLE = 100_000
@@ -124,15 +124,15 @@ class Test2P2LEdgeCases:
 class TestControllerEdgeCases:
     def test_two_reads_same_channel_share_bus(self):
         cfg = MemoryConfig(channels=1)
-        ctrl = MemoryController(cfg, StatRegistry())
+        ctrl = MdaMemory(cfg, StatRegistry())
         a = ctrl.read_line(make_line_id(0, Orientation.ROW, 0), 0)
         # Different bank, same channel: bank-parallel, bus-serial.
         b = ctrl.read_line(make_line_id(4, Orientation.ROW, 0), 0)
         assert b >= a  # second data beat cannot precede the first
 
     def test_drain_all_is_idempotent(self):
-        ctrl = MemoryController(MemoryConfig(), StatRegistry())
+        ctrl = MdaMemory(MemoryConfig(), StatRegistry())
         ctrl.write_line(make_line_id(0, Orientation.ROW, 0), 0)
-        first = ctrl.drain_all(0)
-        second = ctrl.drain_all(first)
+        first = ctrl.finish(0)
+        second = ctrl.finish(first)
         assert second == first
