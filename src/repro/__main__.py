@@ -106,7 +106,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _quarantined_entries(outdir: str) -> int:
     """Corrupt cache entries quarantined under ``OUTDIR/.runcache``."""
     import os
-    from .experiments.runner import QUARANTINE_SUFFIX, RUNCACHE_DIRNAME
+    from .common.durable import QUARANTINE_SUFFIX
+    from .experiments.runner import RUNCACHE_DIRNAME
     cache_dir = os.path.join(outdir, RUNCACHE_DIRNAME)
     try:
         names = os.listdir(cache_dir)

@@ -30,8 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..common.config import MemoryConfig, SystemConfig, apply_overrides
-from ..common.errors import LockTimeout
-from ..common.locking import file_lock, lock_path_for
+from ..common.durable import DurableStore
 from ..core.simulator import (
     RunResult,
     configure_trace_store,
@@ -40,7 +39,6 @@ from ..core.simulator import (
 )
 from ..core.system import make_resident_system, make_system
 from ..sw.tracestore import TRACECACHE_DIRNAME  # noqa: F401 (re-export)
-from . import faults
 
 #: Paper Fig. 17 evaluates a 1.6x faster main memory.
 FAST_MEMORY_FACTOR = 1.6
@@ -181,39 +179,23 @@ def cache_key(key: RunKey) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:32]
 
 
-#: Suffix a quarantined (corrupt) cache entry is renamed to.
-QUARANTINE_SUFFIX = ".corrupt"
-
-
-class RunCache:
+class RunCache(DurableStore):
     """Persistent on-disk store of completed :class:`RunResult` objects.
 
     One pickle per simulation point, written atomically; a corrupt or
     format-mismatched entry reads as a miss, never as an error.  A
     corrupt entry is additionally *quarantined* — renamed to
-    ``<entry>.pkl.corrupt`` and counted in :attr:`corrupt_quarantined` —
+    ``<entry>.pkl.corrupt`` and counted in ``corrupt_quarantined`` —
     so it is read (and fails) once instead of on every lookup, and the
-    bad bytes survive for postmortem inspection.
-
-    Writes take an advisory lock on ``<root>/.lock`` so two concurrent
-    ``repro`` invocations sharing an OUTDIR cannot interleave
-    directory mutations (see :mod:`repro.common.locking`); a lock that
-    never frees skips the best-effort write and counts in
-    :attr:`lock_timeouts` rather than wedging the sweep.
+    bad bytes survive for postmortem inspection.  A write that cannot
+    happen (lock held, counted in ``lock_timeouts``; disk full; root
+    not creatable) is skipped rather than failing the sweep
+    (:class:`~repro.common.durable.DurableStore`).
     """
 
     def __init__(self, root: str,
                  lock_timeout: float = 10.0) -> None:
-        self._root = root
-        self._lock_timeout = lock_timeout
-        #: Corrupt entries quarantined by :meth:`load` so far.
-        self.corrupt_quarantined = 0
-        #: Best-effort writes skipped because the lock stayed held.
-        self.lock_timeouts = 0
-
-    @property
-    def root(self) -> str:
-        return self._root
+        super().__init__(root, ".pkl", lock_timeout)
 
     def path_for(self, key: RunKey, name: Optional[str] = None) -> str:
         """The entry file of ``key``; ``name`` is its
@@ -243,56 +225,18 @@ class RunCache:
         return payload.get("result")
 
     def store(self, key: RunKey, result: RunResult) -> None:
-        os.makedirs(self._root, exist_ok=True)
-        path = self.path_for(key)
         payload = {
             "format": CACHE_FORMAT_VERSION,
             "key": dataclasses.asdict(key),
             "result": result,
         }
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            with file_lock(lock_path_for(self._root),
-                           timeout=self._lock_timeout):
-                with open(tmp, "wb") as handle:
-                    pickle.dump(payload, handle,
-                                protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp, path)
-        except LockTimeout:
-            self.lock_timeouts += 1
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-            return
-        faults.maybe_corrupt_file(path, token=os.path.basename(path))
 
-    def _quarantine(self, path: str) -> None:
-        try:
-            os.replace(path, path + QUARANTINE_SUFFIX)
-        except OSError:
-            return
-        self.corrupt_quarantined += 1
+        def dump(tmp: str) -> None:
+            with open(tmp, "wb") as handle:
+                pickle.dump(payload, handle,
+                            protocol=pickle.HIGHEST_PROTOCOL)
 
-    def clear(self) -> int:
-        """Delete every cache entry (quarantined ones too); returns
-        the number of live entries removed."""
-        removed = 0
-        if not os.path.isdir(self._root):
-            return removed
-        for name in os.listdir(self._root):
-            if name.endswith(".pkl"):
-                os.remove(os.path.join(self._root, name))
-                removed += 1
-            elif name.endswith(".pkl" + QUARANTINE_SUFFIX):
-                os.remove(os.path.join(self._root, name))
-        return removed
-
-    def __len__(self) -> int:
-        if not os.path.isdir(self._root):
-            return 0
-        return sum(1 for name in os.listdir(self._root)
-                   if name.endswith(".pkl"))
+        self._write(self.path_for(key), dump)
 
 
 @dataclass
