@@ -39,6 +39,7 @@ LINE_BYTES = WORD_BYTES * WORDS_PER_LINE          # 64
 LINES_PER_TILE = 8
 TILE_BYTES = LINE_BYTES * LINES_PER_TILE          # 512
 WORDS_PER_TILE = WORDS_PER_LINE * LINES_PER_TILE  # 64
+FULL_MASK = (1 << WORDS_PER_LINE) - 1             # every word of a line
 
 _WORD_SHIFT = 3      # log2(WORD_BYTES)
 _LINE_SHIFT = 6      # log2(LINE_BYTES)
