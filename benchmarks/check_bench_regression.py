@@ -42,8 +42,8 @@ THROUGHPUT_KEYS = (
 #: Gated latency metrics: lower is better, milliseconds.  The factor
 #: is deliberately loose (these are end-to-end service latencies under
 #: injected faults on shared CI runners); the gate exists to catch a
-#: tail-latency blowup like an un-reclaimed coalescing lease, not a
-#: noisy-neighbour wobble.
+#: tail-latency blowup like a wedged worker the master never restarts,
+#: not a noisy-neighbour wobble.
 LATENCY_KEYS = (
     "service_chaos_p50_ms",
     "service_chaos_p99_ms",

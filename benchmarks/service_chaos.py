@@ -5,8 +5,8 @@ Starts the real pre-fork server as a subprocess with service fault
 injection armed — workers killed mid-request, cache entries corrupted
 before reads, requests slowed — and drives it with hundreds of
 concurrent clients whose config popularity is zipfian (a few hot
-configs, a long cold tail), which is what makes cross-worker
-coalescing and the shared cache matter.  Then it asserts the resilient
+configs, a long cold tail), which is what makes in-process coalescing
+and the shared run cache matter.  Then it asserts the resilient
 -serving acceptance criteria end to end:
 
 * **zero lost requests** — every request gets a terminal response,
@@ -244,7 +244,6 @@ def main() -> None:
         metrics = scrape_metrics(port)
         restarts = metrics.get("repro_worker_restarts_total", 0.0)
         alive = metrics.get("repro_workers_alive", 0.0)
-        cross = metrics.get("repro_cross_coalesced_total", 0.0)
         if restarts <= 0:
             fail("no worker restarts recorded — the kill fault never "
                  "fired or the master failed to restart; this run "
@@ -272,7 +271,6 @@ def main() -> None:
             "service_chaos_clients": args.clients,
             "service_chaos_workers": args.workers,
             "service_chaos_restarts": int(restarts),
-            "service_chaos_cross_coalesced": int(cross),
             "service_chaos_faults": args.faults,
         }
         with open(args.json, "w", encoding="utf-8") as handle:
@@ -280,7 +278,7 @@ def main() -> None:
             handle.write("\n")
         print(f"service-chaos: throughput {throughput:,.1f} req/s, "
               f"p50 {p50 * 1000:.0f}ms, p99 {p99 * 1000:.0f}ms, "
-              f"restarts {restarts:.0f}, cross-coalesced {cross:.0f}")
+              f"restarts {restarts:.0f}")
         print(f"service-chaos: PASS ({len(bodies)} requests, 0 lost, "
               f"0 wrong, drained cleanly) -> {args.json}")
     finally:

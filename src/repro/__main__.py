@@ -185,14 +185,11 @@ def _cmd_journal(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import os
-
     from .experiments.plans import (
         runner_from_args,
         supervisor_from_args,
     )
     from .service.batching import SimulationService
-    from .service.coalesce import ClaimBoard
     from .service.server import serve_main
 
     def build(index: int) -> SimulationService:
@@ -201,9 +198,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         Called in the child after fork: the runner, supervisor, and
         journal must never exist in the master, whose only job is
         fork-and-supervise.  Each worker journals to its own suite
-        file (concurrent appends to one JSONL would interleave), and
-        multi-worker mode adds the cross-worker claim board over the
-        shared run cache.
+        file (concurrent appends to one JSONL would interleave); the
+        workers share only the run cache.
         """
         runner = runner_from_args(args, verbose=False)
         suite = "service" if index < 0 else f"service-w{index}"
@@ -211,15 +207,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # supervisor must not install handlers off the main thread.
         supervisor = supervisor_from_args(args, runner, suite=suite,
                                           handle_signals=False)
-        board = None
-        cache = runner.run_cache
-        if index >= 0 and cache is not None and not args.refresh:
-            board = ClaimBoard(cache.root,
-                               owner=f"w{index}-pid{os.getpid()}")
         return SimulationService(runner, supervisor,
                                  max_pending=args.max_pending,
-                                 max_batch=args.max_batch,
-                                 claim_board=board)
+                                 max_batch=args.max_batch)
 
     if args.workers > 1:
         from .experiments import faults

@@ -161,7 +161,9 @@ class MemoryConfig:
         burst_cycles: data-bus occupancy for one 64-byte line.
         column_decode_extra: extra cycles on column-mode decode
             (paper Section VI-B: one additional cycle).
-        write_queue_high / write_queue_low: WQF drain watermarks.
+        write_queue_high / write_queue_low: WQF drain watermarks; a
+            write that fills a channel's queue to ``high`` drains it
+            down to ``low`` (0 < low < high).
         speed_factor: divide all array timings by this (paper Fig. 17
             evaluates a 1.6x faster memory).
         tile_cols_per_bank: tiles spanned by one physical array row; a
@@ -203,8 +205,8 @@ class MemoryConfig:
             _require(getattr(self, label) >= 1, f"{label} must be >= 1")
         _require(self.column_decode_extra >= 0,
                  "column_decode_extra must be >= 0")
-        _require(0 < self.write_queue_low <= self.write_queue_high,
-                 "write queue watermarks must satisfy 0 < low <= high")
+        _require(0 < self.write_queue_low < self.write_queue_high,
+                 "write queue watermarks must satisfy 0 < low < high")
         _require(self.speed_factor > 0, "speed_factor must be positive")
 
     def scaled(self, cycles: int) -> int:

@@ -40,10 +40,6 @@ class DurableStore:
         #: Best-effort writes skipped because the lock stayed held.
         self.lock_timeouts = 0
 
-    @property
-    def root(self) -> str:
-        return self._root
-
     def _write(self, path: str, write: Callable[[str], None]) -> None:
         """Atomically replace ``path`` with what ``write(tmp)`` writes
         to a temp file, or skip the write (see the module docstring);

@@ -116,8 +116,6 @@ class MdaMemory:
         channel = decoded.channel
         self._drain_idle(channel, now)
         self._drain_overlapping(channel, line_id, now)
-        if len(self._write_queues[channel]) >= self._config.write_queue_high:
-            self._drain_to_low(channel, now)
         bank = self._banks[self._decoder.bank_key(decoded)]
         data_ready = bank.access(decoded.orientation, decoded.buffer_key,
                                  is_write=False, at=now)

@@ -14,14 +14,13 @@ retry/timeout/fault taxonomy and the journal carry over unchanged.
 supervised fleet: a pre-fork master binds the socket once, forks N
 workers that accept from the shared fd, restarts crashed or hung
 workers with capped backoff, and degrades gracefully on crash loops.
-Workers coalesce duplicate requests *across processes* through leased
-claims on the shared run cache.
+Workers share results through the run cache; two workers may each
+simulate the same new point once, and the cache keeps one entry.
 
 Modules:
 
 * :mod:`.protocol` — request/response JSON schema and validation;
 * :mod:`.batching` — admission control, coalescing, batch dispatch;
-* :mod:`.coalesce` — cross-worker claim board over the run cache;
 * :mod:`.metrics` — Prometheus-text-format metric primitives;
 * :mod:`.server` — the asyncio HTTP server (``repro serve``);
 * :mod:`.master` — pre-fork master and worker supervision;
@@ -36,7 +35,6 @@ from .client import (
     RetryConfig,
     ServiceClient,
 )
-from .coalesce import ClaimBoard
 from .master import PreforkMaster
 from .metrics import MetricsRegistry
 from .protocol import parse_request, result_payload
@@ -45,7 +43,6 @@ from .server import ServiceServer, serve_main
 __all__ = [
     "AsyncServiceClient",
     "CircuitBreaker",
-    "ClaimBoard",
     "MetricsRegistry",
     "PreforkMaster",
     "RetryConfig",

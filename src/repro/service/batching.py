@@ -24,6 +24,10 @@ estimate derived from the observed batch service rate, and a draining
 server raises :class:`ServiceDraining` (HTTP 503).  The queue can
 therefore never deadlock a client — every submit either completes,
 coalesces, or is rejected immediately.
+
+Coalescing is per process.  Under ``repro serve --workers N`` two
+workers may each simulate the same new point once; the run cache's
+atomic writes keep one entry, and later requests hit it.
 """
 
 from __future__ import annotations
@@ -38,9 +42,8 @@ from ..common.errors import (
     ServiceDraining,
     SimulationFailed,
 )
-from ..experiments.runner import ExperimentRunner, RunKey, cache_key
+from ..experiments.runner import ExperimentRunner, RunKey
 from ..experiments.supervisor import Supervisor
-from .coalesce import ClaimBoard
 from .metrics import MICROS, MetricsRegistry
 
 
@@ -66,10 +69,6 @@ class ServiceMetrics:
         self.coalesced = reg.counter(
             "coalesced_total",
             "Requests coalesced onto an identical in-flight config")
-        self.cross_coalesced = reg.counter(
-            "cross_coalesced_total",
-            "Requests resolved by waiting on another worker's "
-            "in-flight simulation (shared-cache claim board)")
         self.cache_hits = reg.counter(
             "cache_hits_total",
             "Requests answered from the result cache, by tier")
@@ -106,23 +105,9 @@ class ServiceMetrics:
             fn=self._hit_ratio)
 
     def _hit_ratio(self) -> float:
-        hits = (self.cache_hits.total() + self.coalesced.total()
-                + self.cross_coalesced.total())
+        hits = self.cache_hits.total() + self.coalesced.total()
         total = hits + self.simulated.total()
         return hits / total if total else 0.0
-
-    def bind_claim_board(self, board: ClaimBoard) -> None:
-        """Expose a claim board's lease accounting as live gauges."""
-        reg = self.registry
-        reg.gauge("claims_granted",
-                  "In-flight claims this worker won on the shared "
-                  "claim board", fn=lambda: board.granted)
-        reg.gauge("claims_denied",
-                  "Claims lost to another worker's fresh lease",
-                  fn=lambda: board.denied)
-        reg.gauge("claim_takeovers",
-                  "Stale leases taken over from a dead or wedged "
-                  "worker", fn=lambda: board.takeovers)
 
     def observe_sim_histogram(self, flat_stats: Dict[str, int]) -> None:
         """Fold one run's ``cpu.lat_hist_b*`` counters into
@@ -141,7 +126,6 @@ class _Job:
 
     key: RunKey
     future: "asyncio.Future[Any]"
-    ck: str = ""
     enqueued: float = field(default_factory=time.monotonic)
 
 
@@ -155,20 +139,13 @@ class SimulationService:
         max_pending: admission-queue bound; submits beyond it are
             rejected with 429 backpressure.
         max_batch: largest RunKey plan per supervised batch.
-        claim_board: cross-worker in-flight claims over the shared
-            run cache (see :mod:`repro.service.coalesce`); ``None``
-            (single-process serving) coalesces in-memory only.
-        cross_poll: seconds between shared-cache polls while waiting
-            on another worker's claimed simulation.
     """
 
     def __init__(self, runner: ExperimentRunner,
                  supervisor: Supervisor,
                  max_pending: int = 256,
                  max_batch: int = 32,
-                 metrics: Optional[ServiceMetrics] = None,
-                 claim_board: Optional[ClaimBoard] = None,
-                 cross_poll: float = 0.1) -> None:
+                 metrics: Optional[ServiceMetrics] = None) -> None:
         self._runner = runner
         self._supervisor = supervisor
         self._max_pending = max(1, int(max_pending))
@@ -178,10 +155,6 @@ class SimulationService:
         # without a service has no callbacks yet).
         self.metrics.queue_depth._fn = lambda: self.queue_depth
         self.metrics.inflight._fn = lambda: self.inflight
-        self._claims = claim_board
-        self._cross_poll = max(0.01, float(cross_poll))
-        if claim_board is not None:
-            self.metrics.bind_claim_board(claim_board)
         self._pending: List[_Job] = []
         self._inflight: Dict[RunKey, "asyncio.Future[Any]"] = {}
         self._wake = asyncio.Event()
@@ -243,81 +216,44 @@ class SimulationService:
         """Resolve one validated request to ``(RunResult, source)``.
 
         ``source`` is ``"cache"`` (tier 1/2 hit), ``"coalesced"``
-        (attached to an identical in-flight config — in this process
-        or, via the claim board, in a sibling worker), or
-        ``"simulated"``.  Raises :class:`ServiceDraining`,
+        (attached to an identical config in flight in this process),
+        or ``"simulated"``.  Raises :class:`ServiceDraining`,
         :class:`AdmissionRejected`, or :class:`SimulationFailed`.
         """
         started = time.monotonic()
         try:
-            # The loop re-runs only when a cross-worker wait ends
-            # without a result (stale claim, dead sibling): the state
-            # checks must then be re-evaluated from the top.
-            while True:
-                if self._draining:
-                    self.metrics.rejected.inc(reason="draining")
-                    raise ServiceDraining(
-                        retry_after=self.retry_after())
-                before = self._runner.cache_info()
-                result = self._runner.lookup(key)
-                if result is not None:
-                    after = self._runner.cache_info()
-                    tier = "memo" \
-                        if after.memory_hits > before.memory_hits \
-                        else "disk"
-                    self.metrics.cache_hits.inc(tier=tier)
-                    return result, "cache"
-                existing = self._inflight.get(key)
-                if existing is not None:
-                    self.metrics.coalesced.inc()
-                    result = await asyncio.shield(existing)
-                    return result, "coalesced"
-                if len(self._pending) >= self._max_pending:
-                    self.metrics.rejected.inc(reason="queue_full")
-                    raise AdmissionRejected(
-                        f"admission queue full "
-                        f"({self._max_pending} pending)",
-                        retry_after=self.retry_after())
-                ck = cache_key(key)
-                if self._claims is not None \
-                        and not self._claims.claim(ck):
-                    result = await self._await_sibling(key, ck)
-                    if result is not None:
-                        self.metrics.cross_coalesced.inc()
-                        return result, "coalesced"
-                    continue
-                future: "asyncio.Future[Any]" = \
-                    asyncio.get_running_loop().create_future()
-                self._inflight[key] = future
-                self._pending.append(_Job(key, future, ck))
-                self._wake.set()
-                result = await asyncio.shield(future)
-                self.metrics.simulated.inc()
-                return result, "simulated"
+            if self._draining:
+                self.metrics.rejected.inc(reason="draining")
+                raise ServiceDraining(retry_after=self.retry_after())
+            before = self._runner.cache_info()
+            result = self._runner.lookup(key)
+            if result is not None:
+                after = self._runner.cache_info()
+                tier = "memo" if after.memory_hits > before.memory_hits \
+                    else "disk"
+                self.metrics.cache_hits.inc(tier=tier)
+                return result, "cache"
+            existing = self._inflight.get(key)
+            if existing is not None:
+                self.metrics.coalesced.inc()
+                result = await asyncio.shield(existing)
+                return result, "coalesced"
+            if len(self._pending) >= self._max_pending:
+                self.metrics.rejected.inc(reason="queue_full")
+                raise AdmissionRejected(
+                    f"admission queue full ({self._max_pending} pending)",
+                    retry_after=self.retry_after())
+            future: "asyncio.Future[Any]" = \
+                asyncio.get_running_loop().create_future()
+            self._inflight[key] = future
+            self._pending.append(_Job(key, future))
+            self._wake.set()
+            result = await asyncio.shield(future)
+            self.metrics.simulated.inc()
+            return result, "simulated"
         finally:
             self.metrics.total.observe(
                 (time.monotonic() - started) * MICROS)
-
-    async def _await_sibling(self, key: RunKey,
-                             ck: str) -> Optional[Any]:
-        """Wait for a sibling worker's claimed simulation of ``key``.
-
-        Polls the shared run cache until the result lands, the
-        sibling's lease goes stale (it died — the caller takes over),
-        or this worker starts draining.  Returns the result or
-        ``None`` when the caller should re-evaluate from scratch.
-        """
-        assert self._claims is not None
-        while not self._draining:
-            await asyncio.sleep(self._cross_poll)
-            result = self._runner.lookup(key)
-            if result is not None:
-                return result
-            if not self._claims.claimed_elsewhere(ck):
-                # Lease released or stale.  One last cache look closes
-                # the release-after-store race; otherwise take over.
-                return self._runner.lookup(key)
-        return None
 
     # -- dispatcher ----------------------------------------------------------
 
@@ -345,12 +281,6 @@ class SimulationService:
             self.metrics.queue_wait.observe(
                 (now - job.enqueued) * MICROS)
         keys = [job.key for job in batch]
-        if self._claims is not None:
-            # Extend the leases for the whole supervised batch: the
-            # claims were taken at admission, and a long queue wait
-            # must not let a sibling conclude this worker died.
-            for job in batch:
-                self._claims.refresh(job.ck)
         started = time.monotonic()
         try:
             report = await asyncio.to_thread(
@@ -368,14 +298,10 @@ class SimulationService:
             0.4 * (seconds - self._avg_batch_seconds)
         for job in batch:
             future = self._inflight.pop(job.key, None)
-            result = self._runner.lookup(job.key) \
-                if job.key not in errors else None
-            if self._claims is not None:
-                # Release only after the result is in the shared
-                # cache, so a sibling's next poll finds it.
-                self._claims.release(job.ck)
             if future is None or future.done():
                 continue
+            result = self._runner.lookup(job.key) \
+                if job.key not in errors else None
             if result is not None:
                 self.metrics.observe_sim_histogram(result.stats.flat())
                 future.set_result(result)

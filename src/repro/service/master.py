@@ -29,8 +29,9 @@ callback gauges (:func:`repro.service.metrics.register_worker_gauges`).
 SIGTERM/SIGINT to the master forwards SIGTERM to every worker (each
 drains gracefully: stop admitting, finish in-flight batches, exit 0)
 and SIGKILLs stragglers after a grace period.  Workers share results
-through the fcntl-locked run cache, with cross-worker request
-coalescing via :class:`repro.service.coalesce.ClaimBoard`.
+through the fcntl-locked run cache; each coalesces identical requests
+only in-process, so two workers may simulate the same new point once
+each, and the cache's atomic writes keep one entry.
 """
 
 from __future__ import annotations

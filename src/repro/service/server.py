@@ -302,9 +302,14 @@ class ServiceServer:
         Tokens are ``<tag>:<serial>`` — the worker tag plus a
         per-process request serial — so the same plan kills the same
         requests on every run of a given worker, independent of
-        interleaving across workers.
+        interleaving across workers.  The serial advances on every
+        request, so tokens stay the same whether or not a plan is
+        armed; with none armed, nothing else runs (not even the
+        cache-key hash of the corrupt site's path).
         """
         self._serial += 1
+        if faults.active_plan() is None:
+            return
         token = f"{self._tag or 'w0'}:{self._serial}"
         delay = faults.maybe_slow_request(token)
         if delay > 0.0:

@@ -82,6 +82,19 @@ class TestMemoryConfig:
     def test_rejects_bad_watermarks(self):
         with pytest.raises(ConfigError):
             MemoryConfig(write_queue_high=4, write_queue_low=8)
+        # A drain episode runs from the high watermark down to the low
+        # one, so equal watermarks describe no episode at all.
+        with pytest.raises(ConfigError):
+            MemoryConfig(write_queue_high=8, write_queue_low=8)
+
+    def test_accepts_adjacent_watermarks(self):
+        # The tightest legal pair: an episode drains one write.
+        cfg = MemoryConfig(write_queue_high=8, write_queue_low=7)
+        assert (cfg.write_queue_low, cfg.write_queue_high) == (7, 8)
+
+    def test_rejects_zero_low_watermark(self):
+        with pytest.raises(ConfigError, match="0 < low < high"):
+            MemoryConfig(write_queue_high=8, write_queue_low=0)
 
     def test_rejects_non_power_of_two_channels(self):
         with pytest.raises(ConfigError):

@@ -72,6 +72,27 @@ class TestWriteQueue:
         assert ctrl.pending_writes() == cfg.write_queue_low
         assert stats.group("memory").get("wq_drain_episodes") == 1
 
+    def test_reads_find_the_queue_below_high_and_start_no_episode(self):
+        """Every write that reaches the high watermark drains to the
+        low one before returning, so a read never finds a full queue:
+        drain episodes are write-driven only."""
+        ctrl, cfg, stats = make_controller(channels=1,
+                                           write_queue_high=4,
+                                           write_queue_low=2)
+        episodes = 0
+        for tile in range(12):
+            ctrl.write_line(row_line(tile), 0)
+            assert ctrl.pending_writes() < cfg.write_queue_high
+            episodes = stats.group("memory").get("wq_drain_episodes")
+            pending = ctrl.pending_writes()
+            # No idle time has passed and the line overlaps no queued
+            # write: the read leaves the queue alone.
+            ctrl.read_line(row_line(100 + tile), 0)
+            assert ctrl.pending_writes() == pending
+            assert stats.group("memory").get("wq_drain_episodes") \
+                == episodes
+        assert episodes == 5
+
     def test_drain_all_empties_queues(self):
         ctrl, _, _ = make_controller()
         for tile in range(5):

@@ -43,7 +43,7 @@ def _power_of_two(most: int):
 
 @some.composite
 def memory_configs(draw) -> MemoryConfig:
-    low = draw(some.integers(1, 8))
+    low = draw(some.integers(1, 7))
     return MemoryConfig(
         channels=draw(_power_of_two(4)),
         ranks_per_channel=draw(_power_of_two(2)),
@@ -51,7 +51,7 @@ def memory_configs(draw) -> MemoryConfig:
         tile_cols_per_bank=draw(_power_of_two(8)),
         sub_buffers=draw(some.integers(1, 3)),
         write_queue_low=low,
-        write_queue_high=draw(some.integers(low, 8)),
+        write_queue_high=draw(some.integers(low + 1, 8)),
         speed_factor=draw(some.sampled_from((1.0, 1.6))))
 
 

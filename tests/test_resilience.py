@@ -1,17 +1,17 @@
 """Resilient-serving building blocks (PR-8 acceptance).
 
 Covers the client circuit breaker (state machine, probe reservation,
-cooldown doubling, what counts as failure), the cross-worker claim
-board (lease protocol, pid-aware staleness, degradation on lock
-trouble), two services coalescing through a shared run cache, and the
-service-level fault sites (spec round-trip, slow/corrupt/kill draws).
+cooldown doubling, what counts as failure), services sharing one run
+cache (in-process coalescing only; one entry, no temp file; a sibling
+reads a stored point; a failed batch leaves the key to a sibling), and
+the service-level fault sites (spec round-trip, slow/corrupt/kill
+draws, no cost when unarmed).
 """
 
 from __future__ import annotations
 
 import asyncio
 import http.server
-import json
 import os
 import threading
 
@@ -26,8 +26,8 @@ from repro.experiments import faults
 from repro.experiments.runner import (
     RUNCACHE_DIRNAME,
     ExperimentRunner,
+    RunCache,
     RunKey,
-    cache_key,
 )
 from repro.experiments.supervisor import (
     RetryPolicy,
@@ -36,11 +36,12 @@ from repro.experiments.supervisor import (
 )
 from repro.service.batching import SimulationService
 from repro.service.client import (
+    AsyncServiceClient,
     CircuitBreaker,
     RetryConfig,
     ServiceClient,
 )
-from repro.service.coalesce import ClaimBoard, shard_of
+from repro.service.server import ServiceServer
 
 
 # -- circuit breaker ----------------------------------------------------------
@@ -201,91 +202,11 @@ class TestClientBreakerIntegration:
             stub.shutdown()
 
 
-# -- the claim board ----------------------------------------------------------
+# -- two services over one shared run cache ----------------------------------
 
 
 def _key(design: str = "1P2L") -> RunKey:
     return RunKey(design, "sobel", "small", 1.0, False, "default", 0)
-
-
-class TestClaimBoard:
-    def test_shard_of_is_stable_and_bounded(self):
-        ck = cache_key(_key())
-        assert shard_of(ck) == shard_of(ck)
-        assert 0 <= shard_of(ck, 16) < 16
-        assert shard_of(ck, 1) == 0
-
-    def test_claim_grant_deny_release(self, tmp_path):
-        root = str(tmp_path)
-        a = ClaimBoard(root, owner="a")
-        b = ClaimBoard(root, owner="b")
-        ck = cache_key(_key())
-        assert a.claim(ck)
-        assert not b.claim(ck)
-        assert b.claimed_elsewhere(ck)
-        a.release(ck)
-        assert not b.claimed_elsewhere(ck)
-        assert b.claim(ck)
-        assert a.granted == 1 and b.granted == 1 and b.denied == 1
-
-    def test_stale_claim_is_taken_over(self, tmp_path):
-        root = str(tmp_path)
-        clock = FakeClock(1000.0)
-        a = ClaimBoard(root, ttl=5.0, owner="a", clock=clock)
-        b = ClaimBoard(root, ttl=5.0, owner="b", clock=clock)
-        ck = cache_key(_key())
-        assert a.claim(ck)
-        # Backdate the claim file past the TTL (same pid is alive, so
-        # only the TTL can expire it).
-        path = a._claim_path(ck)
-        os.utime(path, (clock.now - 10.0, clock.now - 10.0))
-        assert not b.claimed_elsewhere(ck)
-        assert b.claim(ck)
-        assert b.takeovers == 1
-
-    def test_dead_owner_pid_expires_the_lease_immediately(self,
-                                                          tmp_path):
-        root = str(tmp_path)
-        board = ClaimBoard(root, ttl=3600.0, owner="me")
-        ck = cache_key(_key())
-        assert board.claim(ck)
-        # Rewrite the fresh claim as owned by a pid that cannot exist.
-        path = board._claim_path(ck)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump({"owner": "dead", "pid": 2 ** 22 + 1,
-                       "t": 0}, handle)
-        assert not board.claimed_elsewhere(ck)
-        other = ClaimBoard(root, ttl=3600.0, owner="taker")
-        assert other.claim(ck)
-        assert other.takeovers == 1
-
-    def test_refresh_extends_the_lease(self, tmp_path):
-        root = str(tmp_path)
-        clock = FakeClock(1000.0)
-        a = ClaimBoard(root, ttl=5.0, owner="a", clock=clock)
-        ck = cache_key(_key())
-        assert a.claim(ck)
-        path = a._claim_path(ck)
-        os.utime(path, (clock.now - 4.0, clock.now - 4.0))
-        a.refresh(ck)  # touches mtime to the real now
-        clock.now = os.path.getmtime(path) + 1.0
-        assert a.claimed_elsewhere(ck)
-
-    def test_unwritable_root_degrades_to_local_simulation(self):
-        board = ClaimBoard("/proc/definitely/not/writable")
-        assert board.claim(cache_key(_key()))
-        assert board.granted == 0  # degraded, not granted
-
-    def test_release_is_idempotent(self, tmp_path):
-        board = ClaimBoard(str(tmp_path))
-        ck = cache_key(_key())
-        board.release(ck)  # nothing to release: no error
-        assert board.claim(ck)
-        board.release(ck)
-        board.release(ck)
-
-
-# -- cross-service coalescing over a shared cache -----------------------------
 
 
 def _service(tmp_path, name: str) -> SimulationService:
@@ -297,69 +218,113 @@ def _service(tmp_path, name: str) -> SimulationService:
         journal=RunJournal.for_suite(str(tmp_path), f"svc-{name}"),
         policy=RetryPolicy(max_retries=1),
         handle_signals=False)
-    board = ClaimBoard(cache_dir, owner=name)
-    return SimulationService(runner, supervisor, claim_board=board,
-                             cross_poll=0.02)
+    return SimulationService(runner, supervisor)
 
 
-class TestCrossServiceCoalescing:
-    def test_identical_request_simulates_once_across_services(
+def _with_services(tmp_path, scenario, names=("a", "b")):
+    """Run ``scenario(*services)`` over started services that share
+    one run cache; drain them afterwards and return its result."""
+    async def main():
+        services = [_service(tmp_path, name) for name in names]
+        for service in services:
+            await service.start()
+        try:
+            return await scenario(*services)
+        finally:
+            for service in services:
+                await service.drain()
+    return asyncio.run(main())
+
+
+def _cache_names(tmp_path) -> list:
+    cache_dir = os.path.join(str(tmp_path), RUNCACHE_DIRNAME)
+    return sorted(os.listdir(cache_dir)) if os.path.isdir(cache_dir) \
+        else []
+
+
+class TestSharedRunCache:
+    def test_same_key_on_two_services_keeps_one_cache_entry(
             self, tmp_path):
         """Two services sharing one run cache (stand-ins for two
-        pre-fork workers): the same config submitted to both must
-        simulate exactly once — the loser waits on the winner's claim
-        and serves the winner's cached result."""
-        async def main():
-            a = _service(tmp_path, "a")
-            b = _service(tmp_path, "b")
-            await a.start()
-            await b.start()
-            try:
-                key = _key()
-                result_a, result_b = await asyncio.gather(
-                    a.submit(key), b.submit(key))
-            finally:
-                await a.drain()
-                await b.drain()
-            return a, b, result_a, result_b
+        pre-fork workers) coalesce only in-process: the same new
+        config submitted to both goes through each one's dispatch,
+        with identical numbers, and the cache's atomic writes leave
+        one entry and no temp file.  Later requests hit the cache."""
+        key = _key()
 
-        a, b, (res_a, src_a), (res_b, src_b) = asyncio.run(main())
+        async def scenario(a, b):
+            first = await asyncio.gather(a.submit(key), b.submit(key))
+            again = [await a.submit(key), await b.submit(key)]
+            return first, again
+
+        ((res_a, src_a), (res_b, src_b)), again = \
+            _with_services(tmp_path, scenario)
+        assert (src_a, src_b) == ("simulated", "simulated")
         assert res_a.cycles == res_b.cycles
-        simulated = a.metrics.simulated.total() \
-            + b.metrics.simulated.total()
-        assert simulated == 1
-        sources = sorted([src_a, src_b])
-        assert sources == ["coalesced", "simulated"]
-        cross = a.metrics.cross_coalesced.total() \
-            + b.metrics.cross_coalesced.total()
-        assert cross == 1
-        # The winner released its claim after storing the result.
-        ck = cache_key(_key())
-        assert not a._claims.claimed_elsewhere(ck)
+        assert res_a.stats.flat() == res_b.stats.flat()
+        names = _cache_names(tmp_path)
+        assert len([n for n in names if n.endswith(".pkl")]) == 1
+        assert not [n for n in names if ".tmp." in n]
+        assert [source for _, source in again] == ["cache", "cache"]
 
-    def test_claim_released_even_when_simulation_fails(
-            self, tmp_path, monkeypatch):
-        """A failed batch must still drop its claims, or siblings
-        would wait out the whole TTL on a result that never comes."""
-        async def main():
-            service = _service(tmp_path, "solo")
+    def test_one_service_coalesces_the_same_key_in_process(
+            self, tmp_path):
+        """Within one worker, a request identical to one in flight
+        attaches to it: one simulation answers both."""
+        key = _key()
 
-            def broken(keys, strict=True):
-                raise RuntimeError("pool exploded")
+        async def scenario(a):
+            answers = await asyncio.gather(a.submit(key), a.submit(key))
+            return answers, a.metrics
 
-            monkeypatch.setattr(service._supervisor, "supervise",
-                                broken)
-            await service.start()
-            key = _key()
-            try:
-                with pytest.raises(SimulationFailed):
-                    await service.submit(key)
-            finally:
-                await service.drain()
-            return service
+        ((first, src_first), (second, src_second)), metrics = \
+            _with_services(tmp_path, scenario, names=("a",))
+        assert (src_first, src_second) == ("simulated", "coalesced")
+        assert first.stats.flat() == second.stats.flat()
+        assert metrics.simulated.total() == 1
+        assert metrics.coalesced.total() == 1
 
-        service = asyncio.run(main())
-        assert not service._claims.claimed_elsewhere(cache_key(_key()))
+    def test_sibling_serves_a_stored_point_from_disk(self, tmp_path):
+        """Once one worker has stored a point, a sibling's first
+        request for it reads the shared entry instead of simulating."""
+        key = _key()
+
+        async def scenario(a, b):
+            return await a.submit(key), await b.submit(key), a, b
+
+        (res_a, src_a), (res_b, src_b), a, b = \
+            _with_services(tmp_path, scenario)
+        assert (src_a, src_b) == ("simulated", "cache")
+        assert res_b.stats.flat() == res_a.stats.flat()
+        assert b.metrics.cache_hits.value(tier="disk") == 1
+        assert a.metrics.simulated.total() \
+            + b.metrics.simulated.total() == 1
+
+    def test_failed_batch_leaves_the_key_to_a_sibling(self, tmp_path):
+        """A batch that fails on one worker stores nothing and drops
+        its in-flight entry: the cache holds no entry or temp file, a
+        sibling then simulates the key, and the failed worker's next
+        request for it reads the sibling's entry."""
+        key = _key()
+
+        def broken(keys, strict=True):
+            raise RuntimeError("pool exploded")
+
+        async def scenario(a, b):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(a._supervisor, "supervise", broken)
+                with pytest.raises(SimulationFailed,
+                                   match="pool exploded"):
+                    await a.submit(key)
+            left = (a.metrics.registry.render(), _cache_names(tmp_path))
+            return left, await b.submit(key), await a.submit(key)
+
+        (text, names), (_, src_b), (_, src_a) = \
+            _with_services(tmp_path, scenario)
+        assert "repro_inflight 0" in text
+        assert not [n for n in names if n.endswith(".pkl")
+                    or ".tmp." in n]
+        assert (src_b, src_a) == ("simulated", "cache")
 
 
 # -- service fault sites ------------------------------------------------------
@@ -399,6 +364,80 @@ class TestServiceFaultSites:
         # A missing entry cannot be corrupted: reports not-fired.
         assert not faults.maybe_corrupt_served_entry(
             str(tmp_path / "absent.pkl"), "w0:2", plan)
+
+    @staticmethod
+    def _serve_miss_then(tmp_path, monkeypatch, hits):
+        """Serve one miss, then ``await hits(client)`` with a
+        ``RunCache.path_for`` spy installed.  Returns the server, every
+        answer's source, and the keys the spy saw."""
+        paths = []
+        real_path_for = RunCache.path_for
+
+        def spy(cache, key, name=None):
+            paths.append(key)
+            return real_path_for(cache, key, name)
+
+        async def main():
+            server = ServiceServer(_service(tmp_path, "solo"), port=0)
+            await server.start()
+            client = AsyncServiceClient(
+                port=server.port, retry=RetryConfig(max_retries=0))
+            try:
+                miss = await client.simulate("1P2L", "sobel")
+                monkeypatch.setattr(RunCache, "path_for", spy)
+                answers = [miss] + await hits(client)
+            finally:
+                await server.shutdown()
+            return server, [answer["source"] for answer in answers]
+
+        server, sources = asyncio.run(main())
+        return server, sources, paths
+
+    @staticmethod
+    async def _one_hit(client):
+        return [await client.simulate("1P2L", "sobel")]
+
+    def test_unarmed_sites_cost_a_served_hit_no_cache_key(
+            self, tmp_path, monkeypatch):
+        """With no plan armed, a served cache hit never reaches the
+        corrupt site's ``RunCache.path_for`` (a full ``cache_key``
+        hash per request), while the request serial still counts every
+        request, so a token names the same request whether or not a
+        plan was armed before it."""
+        faults.arm(None)
+        server, sources, paths = self._serve_miss_then(
+            tmp_path, monkeypatch, self._one_hit)
+        assert sources == ["simulated", "cache"]
+        assert paths == []
+        assert server._serial == 2
+
+    def test_unarmed_sites_cost_batch_items_no_cache_key(
+            self, tmp_path, monkeypatch):
+        """The same holds per ``/batch`` item, and each item still
+        takes one serial."""
+        faults.arm(None)
+
+        async def batch(client):
+            return await client.simulate_batch(
+                [{"design": "1P2L", "workload": "sobel"}] * 2)
+
+        server, sources, paths = self._serve_miss_then(
+            tmp_path, monkeypatch, batch)
+        assert sources == ["simulated", "cache", "cache"]
+        assert paths == []
+        assert server._serial == 3
+
+    def test_armed_plan_reaches_the_corrupt_site(self, tmp_path,
+                                                 monkeypatch):
+        """Any armed plan, even one whose sites never fire, runs every
+        service site: the corrupt site resolves the served entry's
+        path once per request."""
+        faults.arm(faults.FaultPlan(rates={}))
+        server, sources, paths = self._serve_miss_then(
+            tmp_path, monkeypatch, self._one_hit)
+        assert sources == ["simulated", "cache"]
+        assert paths == [_key()]
+        assert server._serial == 2
 
     def test_kill_draw_is_deterministic_per_token(self):
         plan = faults.FaultPlan(rates={"serve_worker_kill": 0.5},

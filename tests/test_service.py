@@ -43,7 +43,7 @@ from repro.experiments.supervisor import (
     RunJournal,
     Supervisor,
 )
-from repro.service.batching import SimulationService
+from repro.service.batching import ServiceMetrics, SimulationService
 from repro.service.client import (
     AsyncServiceClient,
     RetryConfig,
@@ -128,6 +128,13 @@ class TestParseRequest:
         with pytest.raises(ValidationFailed):
             parse_request({"design": "1P2L", "workload": "sobel",
                            "overrides": {"cpu.mlp_window": -3}})
+
+    def test_stage_two_rejects_equal_write_queue_watermarks(self):
+        # The default high watermark is 32: a low watermark equal to
+        # it describes no drain episode, so the request is a 400.
+        with pytest.raises(ValidationFailed, match="0 < low < high"):
+            parse_request({"design": "1P2L", "workload": "sobel",
+                           "overrides": {"memory.write_queue_low": 32}})
 
     def test_too_many_overrides(self):
         overrides = {f"cpu.f{i}": i for i in range(17)}
@@ -226,6 +233,16 @@ class TestMetrics:
         # le boundaries are (2**i - 1) microseconds in seconds.
         assert 'le="1e-06"' in text
         assert 'le="+Inf"} 1' in text
+
+    def test_hit_ratio_counts_cache_hits_and_coalesced_answers(self):
+        metrics = ServiceMetrics()
+        assert "repro_cache_hit_ratio 0" in metrics.registry.render()
+        metrics.cache_hits.inc(tier="memo")
+        metrics.cache_hits.inc(tier="disk")
+        metrics.coalesced.inc()
+        metrics.simulated.inc()
+        # Three of the four answers skipped a simulation.
+        assert "repro_cache_hit_ratio 0.75" in metrics.registry.render()
 
 
 # -- live server harness ------------------------------------------------------
